@@ -3,7 +3,7 @@
 #
 #   jobs   — optional leading integer, default $(nproc)
 #   phase  — any of: plain tsan asan ubsan tidy lint format throughput
-#            corruption cache serve ingest simd simd-off
+#            corruption cache serve ingest simd simd-off cpu-path
 #            (default: all, in that order)
 #
 # Phases:
@@ -50,6 +50,10 @@
 #   simd-off   — full ctest suite of a -DPCUBE_SIMD=OFF build: the scalar
 #                fallback path must pass everything, including the
 #                differential suite, with the vector kernels compiled out.
+#   cpu-path   — bench_cpu_path smoke at 20k rows: warm / cold / scan /
+#                evict-stream ms per query of the signature path; fails
+#                only when an answer differs from the naive scan; emits
+#                BENCH_cpu_path.json.
 #
 # Every configure exports compile_commands.json
 # (CMAKE_EXPORT_COMPILE_COMMANDS is set in CMakeLists.txt), so clang-tidy
@@ -64,7 +68,7 @@ if [[ "${1:-}" =~ ^[0-9]+$ ]]; then
 fi
 
 ALL_PHASES=(plain tsan asan ubsan tidy lint format throughput corruption
-            cache serve ingest simd simd-off)
+            cache serve ingest simd simd-off cpu-path)
 if [ "$#" -gt 0 ]; then
   PHASES=("$@")
   for phase in "${PHASES[@]}"; do
@@ -482,6 +486,19 @@ if want simd-off; then
     -DPCUBE_SIMD=OFF
   cmake --build build-simd-off -j "$JOBS"
   ctest --test-dir build-simd-off --output-on-failure
+fi
+
+if want cpu-path; then
+  echo "=== cpu-path smoke ==="
+  ensure_plain_build
+  CPU_DIR=build/cpu-path-smoke
+  mkdir -p "$CPU_DIR"
+  # bench_cpu_path exits non-zero when any answer differs from the naive
+  # scan; its timings are reported, never gated.
+  (cd "$CPU_DIR" && PCUBE_CPU_PATH_ROWS=20000 ../bench/bench_cpu_path)
+  mkdir -p build/artifacts
+  cp "$CPU_DIR/BENCH_cpu_path.json" build/artifacts/
+  echo "ci.sh: cpu-path smoke passed"
 fi
 
 echo "ci.sh: selected phases green (${PHASES[*]})"
