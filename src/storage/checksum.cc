@@ -11,16 +11,32 @@ namespace pcube {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table;
+// Slicing-by-8 tables: kTables[0] is the classic byte-at-a-time table, and
+// kTables[s][b] is the CRC register after byte b is followed by s zero bytes,
+// so eight table lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t s = 1; s < t.size(); ++s) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+/// Little-endian 32-bit load, whatever the host byte order.
+uint32_t LoadLe32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
 }
 
 // 0 is the "no checksum recorded" sentinel in the table, so a genuine CRC
@@ -33,12 +49,17 @@ constexpr uint32_t kSidecarVersion = 1;
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  static const CrcTables kT = MakeCrcTables();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = kTable[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = kT[7][lo & 0xFF] ^ kT[6][(lo >> 8) & 0xFF] ^
+        kT[5][(lo >> 16) & 0xFF] ^ kT[4][lo >> 24] ^ kT[3][hi & 0xFF] ^
+        kT[2][(hi >> 8) & 0xFF] ^ kT[1][(hi >> 16) & 0xFF] ^ kT[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = kT[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

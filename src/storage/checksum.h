@@ -43,8 +43,9 @@ namespace pcube {
 
 class Counter;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of `n` bytes.
-/// Known answer: Crc32("123456789", 9) == 0xCBF43926.
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of `n` bytes,
+/// computed slicing-by-8 (eight bytes per step); the value is the byte-wise
+/// table CRC's. Known answer: Crc32("123456789", 9) == 0xCBF43926.
 uint32_t Crc32(const void* data, size_t n);
 
 /// PageManager decorator verifying a per-page CRC-32 on every read.

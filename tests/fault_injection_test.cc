@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/random.h"
 #include "data/generators.h"
 #include "storage/buffer_pool.h"
 #include "storage/checksum.h"
@@ -27,6 +28,47 @@ uint64_t CounterValue(const char* name) {
 TEST(ChecksumTest, Crc32KnownAnswer) {
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// The byte-at-a-time table CRC, kept here as the oracle for the slicing
+// implementation: both must compute the same IEEE CRC-32, or every sidecar
+// written before the change would read as corrupt.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t n) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    table[i] = c;
+  }
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(ChecksumTest, Crc32MatchesBytewiseOracle) {
+  Random rng(91);
+  std::vector<uint8_t> buf(kPageSize + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  // Every length 0-64 at every start offset 0-7 covers each head/tail split
+  // of the eight-byte steps.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  for (int trial = 0; trial < 8; ++trial) {
+    for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+    const size_t offset = static_cast<size_t>(trial);
+    EXPECT_EQ(Crc32(buf.data() + offset, kPageSize),
+              BytewiseCrc32(buf.data() + offset, kPageSize))
+        << "page at offset " << offset;
+  }
+  Page zero;
+  zero.Zero();
+  EXPECT_EQ(Crc32(zero.data(), kPageSize),
+            BytewiseCrc32(zero.data(), kPageSize));
 }
 
 TEST(ChecksumTest, CatchesCorruptionBelowTheLayer) {
