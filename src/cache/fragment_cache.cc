@@ -14,12 +14,8 @@ size_t PaddedWords(size_t num_bits) {
 }
 
 size_t FragmentCharge(const CachedFragment& f) {
-  size_t c = 96 + f.words.capacity() * sizeof(uint64_t);
-  for (const auto& node : f.nodes) {
-    c += sizeof(CachedFragment::NodeRef) +
-         node.path.capacity() * sizeof(Path::value_type);
-  }
-  return c;
+  return 96 + f.words.capacity() * sizeof(uint64_t) +
+         f.nodes.capacity() * sizeof(CachedFragment::NodeRef);
 }
 }  // namespace
 
@@ -71,21 +67,21 @@ std::shared_ptr<const CachedFragment> FragmentCache::Lookup(CellId cell,
 }
 
 void FragmentCache::Insert(CellId cell, uint64_t sid, bool present,
-                           std::vector<std::pair<Path, BitVector>> nodes,
+                           std::vector<std::pair<uint64_t, BitVector>> nodes,
                            uint64_t epoch) {
   auto entry = std::make_shared<CachedFragment>();
   entry->present = present;
   entry->epoch = epoch;
   size_t total_words = 0;
-  for (const auto& [path, bits] : nodes) {
+  for (const auto& [sid, bits] : nodes) {
     total_words += PaddedWords(bits.size());
   }
   entry->words.resize(total_words);  // value-init: padding words stay zero
   entry->nodes.reserve(nodes.size());
   size_t offset = 0;
-  for (auto& [path, bits] : nodes) {
+  for (const auto& [sid, bits] : nodes) {
     CachedFragment::NodeRef ref;
-    ref.path = std::move(path);
+    ref.sid = sid;
     ref.word_offset = static_cast<uint32_t>(offset);
     ref.num_bits = static_cast<uint32_t>(bits.size());
     std::copy_n(bits.words().data(), bits.words().size(),

@@ -25,7 +25,6 @@
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/simd/aligned.h"
-#include "rtree/path.h"
 
 namespace pcube {
 
@@ -39,7 +38,7 @@ namespace pcube {
 struct CachedFragment {
   /// Locates one node's bits inside `words`.
   struct NodeRef {
-    Path path;
+    uint64_t sid = 0;          ///< the node's SID (rtree/path.h)
     uint32_t word_offset = 0;  ///< into `words`; always a multiple of 4
     uint32_t num_bits = 0;
   };
@@ -51,7 +50,7 @@ struct CachedFragment {
   size_t charge = 0;   ///< approximate bytes, for the SLRU budget
 
   size_t num_nodes() const { return nodes.size(); }
-  const Path& path(size_t i) const { return nodes[i].path; }
+  uint64_t sid(size_t i) const { return nodes[i].sid; }
   /// The packed words of node i (exactly Words64(num_bits) of them; the
   /// alignment padding after them is not part of the vector).
   std::span<const uint64_t> node_words(size_t i) const;
@@ -75,7 +74,8 @@ class FragmentCache {
   /// Caches a decode stamped with `epoch` (read BEFORE the store load, so
   /// a concurrent update can only make the entry look stale, never fresh).
   void Insert(CellId cell, uint64_t sid, bool present,
-              std::vector<std::pair<Path, BitVector>> nodes, uint64_t epoch);
+              std::vector<std::pair<uint64_t, BitVector>> nodes,
+              uint64_t epoch);
 
   size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
   size_t entries() const { return entries_.load(std::memory_order_relaxed); }

@@ -7,11 +7,7 @@ namespace pcube {
 namespace {
 
 size_t EntryListCharge(const std::vector<SearchEntry>& entries) {
-  size_t c = entries.capacity() * sizeof(SearchEntry);
-  for (const SearchEntry& e : entries) {
-    c += e.path.capacity() * sizeof(Path::value_type);
-  }
-  return c;
+  return entries.capacity() * sizeof(SearchEntry);  // paths are inline
 }
 
 size_t ResultCharge(const CachedResult& e) {

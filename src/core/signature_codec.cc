@@ -1,5 +1,6 @@
 #include "core/signature_codec.h"
 
+#include <algorithm>
 #include <deque>
 #include <set>
 
@@ -9,15 +10,20 @@ namespace pcube {
 
 Signature SignatureFragment::ToSignature() const {
   Signature sig(m_, levels_);
-  for (const auto& [path, bits] : arrays_) {
-    // Map iteration is lexicographic, so parents precede children.
+  // A parent's SID is below its children's (child = parent * (M+1) + slot),
+  // so ascending SIDs materialise parents first.
+  std::vector<uint64_t> sids;
+  sids.reserve(arrays_.size());
+  for (const auto& [sid, bits] : arrays_) sids.push_back(sid);
+  std::sort(sids.begin(), sids.end());
+  for (uint64_t sid : sids) {
     SignatureNode* node = &sig.mutable_root();
-    for (uint16_t slot : path) {
+    for (uint16_t slot : SidToPath(sid, m_, SidLevel(sid, m_))) {
       auto& child = node->children[slot];
       if (!child) child = std::make_unique<SignatureNode>();
       node = child.get();
     }
-    node->bits = bits;
+    node->bits = arrays_.at(sid);
   }
   return sig;
 }
@@ -89,32 +95,34 @@ std::vector<PartialSignature> DecomposeSignature(const Signature& sig,
   return out;
 }
 
-Status DecodePartialSignature(const Path& root_path,
-                              const std::vector<uint8_t>& bytes,
-                              SignatureFragment* fragment,
-                              std::vector<std::pair<Path, BitVector>>* added) {
+Status DecodePartialSignature(
+    uint64_t root_sid, const std::vector<uint8_t>& bytes,
+    SignatureFragment* fragment,
+    std::vector<std::pair<uint64_t, BitVector>>* added) {
   const int levels = fragment->levels();
+  const uint64_t base = fragment->fanout() + 1;
+  struct Pending {
+    uint64_t sid;
+    int level;  // path length of the node
+  };
   size_t offset = 0;
-  std::deque<Path> bfs;
-  bfs.push_back(root_path);
-  while (!bfs.empty()) {
-    Path x = std::move(bfs.front());
-    bfs.pop_front();
-    if (!fragment->HasNode(x)) {
+  std::vector<Pending> bfs{{root_sid, SidLevel(root_sid, fragment->fanout())}};
+  for (size_t head = 0; head < bfs.size(); ++head) {
+    const Pending x = bfs[head];
+    const BitVector* bits = fragment->Node(x.sid);
+    if (bits == nullptr) {
       if (offset >= bytes.size()) break;  // cut point: rest is in later partials
-      BitVector bits;
+      BitVector decoded;
       PCUBE_RETURN_NOT_OK(
-          BitmapCodec::Decode(bytes.data(), bytes.size(), &offset, &bits));
-      if (added != nullptr) added->emplace_back(x, bits);
-      fragment->AddNode(x, std::move(bits));
+          BitmapCodec::Decode(bytes.data(), bytes.size(), &offset, &decoded));
+      if (added != nullptr) added->emplace_back(x.sid, decoded);
+      fragment->AddNode(x.sid, std::move(decoded));
+      bits = fragment->Node(x.sid);
     }
-    const BitVector* bits = fragment->Node(x);
-    if (static_cast<int>(x.size()) + 1 < levels) {
+    if (x.level + 1 < levels) {
       for (size_t bit = bits->FindNextSet(0); bit < bits->size();
            bit = bits->FindNextSet(bit + 1)) {
-        Path child = x;
-        child.push_back(static_cast<uint16_t>(bit + 1));
-        bfs.push_back(std::move(child));
+        bfs.push_back({x.sid * base + bit + 1, x.level + 1});
       }
     }
   }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -35,7 +36,8 @@ struct PartialSignature {
 };
 
 /// Fragment of a signature being reassembled at query time: the set of
-/// node arrays decoded so far, keyed by node path.
+/// node arrays decoded so far, keyed by node SID (rtree/path.h; a SID names
+/// one node of the tree, whatever its level).
 class SignatureFragment {
  public:
   SignatureFragment(uint32_t fanout, int levels)
@@ -44,13 +46,14 @@ class SignatureFragment {
   uint32_t fanout() const { return m_; }
   int levels() const { return levels_; }
 
-  bool HasNode(const Path& p) const { return arrays_.count(p) > 0; }
-  const BitVector* Node(const Path& p) const {
-    auto it = arrays_.find(p);
+  bool HasNode(uint64_t sid) const { return arrays_.count(sid) > 0; }
+  const BitVector* Node(uint64_t sid) const {
+    auto it = arrays_.find(sid);
     return it == arrays_.end() ? nullptr : &it->second;
   }
-  void AddNode(const Path& p, BitVector bits) {
-    arrays_.emplace(p, std::move(bits));
+  /// No-op when the node is already present.
+  void AddNode(uint64_t sid, BitVector bits) {
+    arrays_.emplace(sid, std::move(bits));
   }
 
   size_t num_nodes() const { return arrays_.size(); }
@@ -62,7 +65,7 @@ class SignatureFragment {
  private:
   uint32_t m_;
   int levels_;
-  std::map<Path, BitVector> arrays_;
+  std::unordered_map<uint64_t, BitVector> arrays_;
 };
 
 /// Splits `sig` into compressed partial signatures, each with payload size
@@ -70,19 +73,19 @@ class SignatureFragment {
 std::vector<PartialSignature> DecomposeSignature(const Signature& sig,
                                                  size_t max_payload);
 
-/// Decodes one partial signature (rooted at `root_path`) into `fragment`,
-/// skipping nodes the fragment already contains. Fails with Corruption when
-/// the payload does not align with the fragment's current state — which
-/// happens if ancestor partials were not decoded first.
+/// Decodes one partial signature (rooted at the node `root_sid`) into
+/// `fragment`, skipping nodes the fragment already contains. Fails with
+/// Corruption when the payload does not align with the fragment's current
+/// state — which happens if ancestor partials were not decoded first.
 ///
-/// When `added` is non-null it collects (path, bits) for every node this
+/// When `added` is non-null it collects (sid, bits) for every node this
 /// call contributed, in decode order. Because cursors always load partials
 /// along root-to-leaf prefixes in order, the contributed set is a pure
 /// function of (cell, sid) — which is what makes the decode cacheable and
 /// replayable into another query's fragment (cache/fragment_cache.h).
 Status DecodePartialSignature(
-    const Path& root_path, const std::vector<uint8_t>& bytes,
+    uint64_t root_sid, const std::vector<uint8_t>& bytes,
     SignatureFragment* fragment,
-    std::vector<std::pair<Path, BitVector>>* added = nullptr);
+    std::vector<std::pair<uint64_t, BitVector>>* added = nullptr);
 
 }  // namespace pcube

@@ -1,11 +1,11 @@
 #include "core/signature_cursor.h"
 
+#include <array>
+
 namespace pcube {
 
-Status SignatureCursor::LoadPartialAt(const Path& root_path) {
-  uint64_t sid = PathToSid(root_path, fragment_.fanout());
-  if (attempted_.count(sid) > 0) return Status::OK();
-  attempted_.insert(sid);
+Status SignatureCursor::LoadPartialAt(uint64_t sid) {
+  if (!attempted_.insert(sid).second) return Status::OK();
   if (cache_ != nullptr) {
     if (auto hit = cache_->Lookup(cell_, sid)) {
       // Replay the cached decode. The contributed node set is a pure
@@ -13,7 +13,7 @@ Status SignatureCursor::LoadPartialAt(const Path& root_path) {
       // root-to-leaf prefixes in the same order, so insertion is exact.
       for (size_t i = 0; i < hit->num_nodes(); ++i) {
         // no-op if an ancestor partial already supplied the node
-        fragment_.AddNode(hit->path(i), hit->NodeBits(i));
+        fragment_.AddNode(hit->sid(i), hit->NodeBits(i));
       }
       return Status::OK();
     }
@@ -32,27 +32,27 @@ Status SignatureCursor::LoadPartialAt(const Path& root_path) {
     return bytes.status();
   }
   ++partials_loaded_;
-  std::vector<std::pair<Path, BitVector>> added;
+  std::vector<std::pair<uint64_t, BitVector>> added;
   PCUBE_RETURN_NOT_OK(DecodePartialSignature(
-      root_path, *bytes, &fragment_, cache_ != nullptr ? &added : nullptr));
+      sid, *bytes, &fragment_, cache_ != nullptr ? &added : nullptr));
   if (cache_ != nullptr) {
     cache_->Insert(cell_, sid, true, std::move(added), stamp);
   }
   return Status::OK();
 }
 
-Result<bool> SignatureCursor::EnsureNode(const Path& node_path) {
+Result<bool> SignatureCursor::EnsureNode(uint64_t sid,
+                                         const uint64_t* prefix_sids,
+                                         size_t depth) {
   if (!root_loaded_) {
     root_loaded_ = true;
-    PCUBE_RETURN_NOT_OK(LoadPartialAt({}));
+    PCUBE_RETURN_NOT_OK(LoadPartialAt(0));
   }
-  if (fragment_.HasNode(node_path)) return true;
+  if (fragment_.HasNode(sid)) return true;
   // Probe partials rooted at successively deeper prefixes of the path.
-  Path prefix;
-  for (uint16_t slot : node_path) {
-    prefix.push_back(slot);
-    PCUBE_RETURN_NOT_OK(LoadPartialAt(prefix));
-    if (fragment_.HasNode(node_path)) return true;
+  for (size_t i = 0; i < depth; ++i) {
+    PCUBE_RETURN_NOT_OK(LoadPartialAt(prefix_sids[i]));
+    if (fragment_.HasNode(sid)) return true;
   }
   return false;
 }
@@ -60,17 +60,23 @@ Result<bool> SignatureCursor::EnsureNode(const Path& node_path) {
 Result<bool> SignatureCursor::Test(const Path& path) {
   PCUBE_DCHECK_GE(path.size(), size_t{1});
   PCUBE_DCHECK_LE(path.size(), static_cast<size_t>(levels_));
-  Path prefix;  // node whose array we are inspecting
+  const uint32_t m = fragment_.fanout();
+  // prefix_sids[i] is the SID of the path's first i+1 slots, derived one
+  // level at a time: sid(p + slot) = sid(p) * (M+1) + slot.
+  std::array<uint64_t, Path::kMaxLength> prefix_sids;
+  uint64_t sid = 0;  // node whose array we are inspecting (root first)
   for (size_t i = 0; i < path.size(); ++i) {
-    auto present = EnsureNode(prefix);
-    if (!present.ok()) return present.status();
-    if (!*present) return false;
-    const BitVector* bits = fragment_.Node(prefix);
-    uint16_t slot = path[i];
-    if (slot < 1 || slot > fragment_.fanout() || !bits->Get(slot - 1)) {
-      return false;
+    const BitVector* bits = fragment_.Node(sid);
+    if (bits == nullptr) {
+      auto present = EnsureNode(sid, prefix_sids.data(), i);
+      if (!present.ok()) return present.status();
+      if (!*present) return false;
+      bits = fragment_.Node(sid);
     }
-    prefix.push_back(slot);
+    const uint16_t slot = path[i];
+    if (slot < 1 || slot > m || !bits->Get(slot - 1)) return false;
+    sid = sid * (m + 1) + slot;
+    prefix_sids[i] = sid;
   }
   return true;
 }

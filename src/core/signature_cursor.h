@@ -13,7 +13,7 @@
 // thread; concurrent queries get independent cursors via PCube::MakeProbe.
 #pragma once
 
-#include <set>
+#include <unordered_set>
 
 #include "cache/fragment_cache.h"
 #include "core/signature_codec.h"
@@ -48,18 +48,20 @@ class SignatureCursor {
   uint32_t fanout() const { return fragment_.fanout(); }
 
  private:
-  /// Ensures the array of the node at `node_path` is present if it exists in
-  /// the stored signature; returns false when the cell's signature provably
-  /// lacks it.
-  Result<bool> EnsureNode(const Path& node_path);
-  Status LoadPartialAt(const Path& root_path);
+  /// Ensures the array of the node `sid` is present if it exists in the
+  /// stored signature; returns false when the cell's signature provably
+  /// lacks it. `prefix_sids[i]` names the node's depth-(i+1) ancestor (the
+  /// node itself is `prefix_sids[depth - 1]`), root excluded.
+  Result<bool> EnsureNode(uint64_t sid, const uint64_t* prefix_sids,
+                          size_t depth);
+  Status LoadPartialAt(uint64_t sid);
 
   const SignatureStore* store_;
   CellId cell_;
   FragmentCache* cache_;
   SignatureFragment fragment_;
   int levels_;
-  std::set<uint64_t> attempted_;  // partial SIDs already probed (hit or miss)
+  std::unordered_set<uint64_t> attempted_;  // partial SIDs already probed
   uint64_t partials_loaded_ = 0;
   bool root_loaded_ = false;
 };

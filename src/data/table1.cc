@@ -9,7 +9,7 @@ struct Row {
   uint32_t b;
   float x;
   float y;
-  Path path;
+  std::vector<uint16_t> path;
 };
 
 // Table I verbatim (a1..a4 -> 0..3, b1..b3 -> 0..2).
@@ -45,8 +45,8 @@ Dataset MakeTable1Dataset() {
   return data;
 }
 
-std::vector<std::tuple<TupleId, std::vector<float>, Path>> Table1TreeEntries() {
-  std::vector<std::tuple<TupleId, std::vector<float>, Path>> entries;
+std::vector<RStarTree::ExplicitEntry> Table1TreeEntries() {
+  std::vector<RStarTree::ExplicitEntry> entries;
   for (TupleId t = 0; t < Rows().size(); ++t) {
     const Row& r = Rows()[t];
     entries.emplace_back(t, std::vector<float>{r.x, r.y}, r.path);

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "cube/relation.h"
-#include "rtree/path.h"
+#include "rtree/rstar_tree.h"
 
 namespace pcube {
 
@@ -24,6 +24,6 @@ Dataset MakeTable1Dataset();
 
 /// The (tid, point, path) entries of Table I / Fig. 1, ready for
 /// RStarTree::BuildExplicit with dims = 2 and max_entries = 2.
-std::vector<std::tuple<TupleId, std::vector<float>, Path>> Table1TreeEntries();
+std::vector<RStarTree::ExplicitEntry> Table1TreeEntries();
 
 }  // namespace pcube

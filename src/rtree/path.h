@@ -11,7 +11,10 @@
 // subtree root.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -21,7 +24,66 @@ namespace pcube {
 
 /// 1-based slot positions from the root; element i addresses the slot taken
 /// at depth i. A tuple path's last element is its leaf slot.
-using Path = std::vector<uint16_t>;
+///
+/// A trivially copyable value with its slots stored inline: the query
+/// engines create one per candidate entry, so it never touches the heap.
+/// Equality and `<` are std::vector<uint16_t>'s (lexicographic, so a parent
+/// sorts before its children).
+class Path {
+ public:
+  /// Most slots a path holds, and so the most node levels an R-tree may
+  /// have (RStarTree refuses to grow deeper). SignatureStore::kSidBits is
+  /// the tighter limit at every fanout: at the smallest, M = 2, the node
+  /// SIDs of a 26-level tree still fit its 40 bits (3^25 < 2^40).
+  static constexpr size_t kMaxLength = 26;
+
+  using value_type = uint16_t;
+  using iterator = uint16_t*;
+  using const_iterator = const uint16_t*;
+
+  Path() = default;
+  /// `n` zero slots.
+  explicit Path(size_t n) : size_(Length(n)) {}
+  Path(std::initializer_list<uint16_t> slots)
+      : Path(slots.begin(), slots.end()) {}
+  template <typename It>
+  Path(It first, It last) {
+    for (; first != last; ++first) push_back(*first);
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  uint16_t operator[](size_t i) const { return slots_[i]; }
+  uint16_t& operator[](size_t i) { return slots_[i]; }
+  uint16_t back() const { return slots_[size_ - 1]; }
+  const_iterator begin() const { return slots_.data(); }
+  const_iterator end() const { return slots_.data() + size_; }
+  iterator begin() { return slots_.data(); }
+  iterator end() { return slots_.data() + size_; }
+
+  void push_back(uint16_t slot) {
+    PCUBE_CHECK_LT(size_, kMaxLength) << "path deeper than Path::kMaxLength";
+    slots_[size_++] = slot;
+  }
+  void pop_back() { slots_[--size_] = 0; }
+
+  friend bool operator==(const Path& a, const Path& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator<(const Path& a, const Path& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+
+ private:
+  static uint8_t Length(size_t n) {
+    PCUBE_CHECK_LE(n, kMaxLength) << "path deeper than Path::kMaxLength";
+    return static_cast<uint8_t>(n);
+  }
+
+  std::array<uint16_t, kMaxLength> slots_{};
+  uint8_t size_ = 0;
+};
 
 /// Signature ID of the node addressed by `path` in a tree of fanout `M`.
 /// The empty path (the root) maps to 0.
@@ -47,6 +109,15 @@ inline Path SidToPath(uint64_t sid, uint32_t M, int level) {
   }
   PCUBE_DCHECK_EQ(sid, 0u);
   return path;
+}
+
+/// Level (path length) of the node named `sid`: slots are never 0, so the
+/// base-(M+1) digits of a SID spell its path exactly.
+inline int SidLevel(uint64_t sid, uint32_t M) {
+  const uint64_t base = M + 1;
+  int level = 0;
+  for (; sid != 0; sid /= base) ++level;
+  return level;
 }
 
 inline std::string PathToString(const Path& path) {

@@ -104,6 +104,21 @@ Result<RStarTree> RStarTree::Create(BufferPool* pool,
   return tree;
 }
 
+Status RStarTree::CheckHeight(int height) {
+  if (height < 0 || static_cast<size_t>(height) >= Path::kMaxLength) {
+    return Status::OutOfRange("an R-tree of " + std::to_string(height + 1) +
+                              " levels exceeds the " +
+                              std::to_string(Path::kMaxLength) +
+                              "-level path limit");
+  }
+  return Status::OK();
+}
+
+size_t RStarTree::ReinsertCount() const {
+  return std::max<size_t>(1,
+                          static_cast<size_t>(options_.reinsert_fraction * m_));
+}
+
 Result<RStarTree> RStarTree::BuildByInsertion(BufferPool* pool,
                                               const Dataset& data,
                                               const RTreeOptions& options) {
@@ -248,6 +263,9 @@ Status RStarTree::CollectSubtreePaths(PageId pid, Path* prefix,
   auto handle = pool_->Get(pid, IoCategory::kRtreeBlock);
   if (!handle.ok()) return handle.status();
   NodeView node(handle->get(), options_.dims);
+  if (prefix->size() == Path::kMaxLength && node.count() > 0) {
+    return Status::Corruption("R-tree nodes nest deeper than its height");
+  }
   for (uint32_t s = 0; s < node.max_entries(); ++s) {
     if (!node.Valid(s)) continue;
     prefix->push_back(static_cast<uint16_t>(s + 1));
@@ -435,9 +453,7 @@ Status RStarTree::InsertLeafEntry(const PendingEntry& entry,
     }
     std::sort(victims.begin(), victims.end(),
               [](const Victim& a, const Victim& b) { return a.dist > b.dist; });
-    size_t k = std::max<size_t>(
-        1, static_cast<size_t>(options_.reinsert_fraction * m_));
-    k = std::min(k, victims.size());
+    size_t k = std::min(ReinsertCount(), victims.size());
     for (size_t i = 0; i < k; ++i) {
       uint32_t s = victims[i].slot;
       RectF r = leaf.GetRect(s);
@@ -475,6 +491,19 @@ Status RStarTree::FinalizeNewPaths(PathChangeSet* changes) {
 Status RStarTree::Insert(std::span<const float> point, TupleId tid,
                          PathChangeSet* changes) {
   PCUBE_CHECK_EQ(point.size(), static_cast<size_t>(options_.dims));
+  if (!CheckHeight(height_ + 1).ok()) {
+    // A root split adds a level. Each entry this insert places (the new one
+    // and every one forced re-insertion moves) can split one leaf and carry
+    // one new entry up to the root, so refuse, before touching a page, any
+    // insert that could overflow it.
+    auto root = pool_->Get(root_, IoCategory::kRtreeBlock);
+    if (!root.ok()) return root.status();
+    const size_t placed =
+        1 + (options_.forced_reinsert && height_ > 0 ? ReinsertCount() : 0);
+    if (NodeView(root->get(), options_.dims).count() + placed > m_) {
+      return CheckHeight(height_ + 1);
+    }
+  }
   bool reinsert_done = false;
   std::vector<PendingEntry> pending;
   pending.push_back({RectF::Point(point), tid});
@@ -593,6 +622,9 @@ Status FindPathRec(BufferPool* pool, int dims, PageId pid,
   auto handle = pool->Get(pid, IoCategory::kRtreeBlock);
   if (!handle.ok()) return handle.status();
   NodeView node(handle->get(), dims);
+  if (path->size() == Path::kMaxLength) {
+    return Status::Corruption("R-tree nodes nest deeper than its height");
+  }
   for (uint32_t s = 0; s < node.max_entries(); ++s) {
     if (!node.Valid(s)) continue;
     if (node.is_leaf()) {
@@ -736,6 +768,7 @@ Result<RStarTree> RStarTree::BulkLoad(BufferPool* pool, const Dataset& data,
   uint16_t level = 0;
   while (level_items.size() > 1) {
     ++level;
+    PCUBE_RETURN_NOT_OK(CheckHeight(level));
     groups.clear();
     tile(level_items, 0);
     std::vector<Item> next;
@@ -822,6 +855,7 @@ Result<RStarTree> RStarTree::BuildGridPartition(BufferPool* pool,
   uint16_t level = 0;
   while (level_items.size() > 1) {
     ++level;
+    PCUBE_RETURN_NOT_OK(CheckHeight(level));
     std::vector<Item> next;
     for (size_t i = 0; i < level_items.size(); i += cap) {
       PageId pid;
@@ -848,12 +882,13 @@ Result<RStarTree> RStarTree::BuildGridPartition(BufferPool* pool,
 
 Result<RStarTree> RStarTree::BuildExplicit(
     BufferPool* pool, const RTreeOptions& options,
-    const std::vector<std::tuple<TupleId, std::vector<float>, Path>>& entries) {
+    const std::vector<ExplicitEntry>& entries) {
   PCUBE_CHECK(!entries.empty());
   const size_t depth = std::get<2>(entries[0]).size();
   for (const auto& e : entries) {
     PCUBE_CHECK_EQ(std::get<2>(e).size(), depth) << "uneven path lengths";
   }
+  PCUBE_RETURN_NOT_OK(CheckHeight(static_cast<int>(depth) - 1));
   auto tree_result = Create(pool, options);
   if (!tree_result.ok()) return tree_result.status();
   RStarTree tree = std::move(*tree_result);
@@ -883,7 +918,8 @@ Result<RStarTree> RStarTree::BuildExplicit(
     return pid;
   };
 
-  for (const auto& [tid, point, path] : entries) {
+  for (const auto& [tid, point, slots] : entries) {
+    const Path path(slots.begin(), slots.end());
     Path prefix(path.begin(), path.end() - 1);
     auto leaf = get_or_create(prefix);
     if (!leaf.ok()) return leaf.status();

@@ -51,6 +51,18 @@ class RStarTree {
   using PathVisitor =
       std::function<void(TupleId, const Path&, std::span<const float>)>;
 
+  /// One leaf entry of an explicitly prescribed tree: (tid, point, 1-based
+  /// slots from the root). The slots are a plain vector because the caller
+  /// may describe a tree deeper than a Path holds; BuildExplicit refuses it.
+  using ExplicitEntry =
+      std::tuple<TupleId, std::vector<float>, std::vector<uint16_t>>;
+
+  /// OK when a tree whose root sits at level `height` (leaves at 0) has
+  /// paths that fit a Path (height + 1 <= Path::kMaxLength); OutOfRange
+  /// otherwise. Every construction and insert checks it before the tree
+  /// grows a level.
+  static Status CheckHeight(int height);
+
   /// Creates an empty tree (a single empty leaf as root).
   static Result<RStarTree> Create(BufferPool* pool, const RTreeOptions& options);
 
@@ -90,12 +102,15 @@ class RStarTree {
   /// Constructs a tree with an explicitly prescribed structure: each entry is
   /// (tid, point, full path); all paths must have equal length. Used to
   /// replicate the paper's worked example (Table I / Fig. 1) exactly.
+  /// OutOfRange when the paths are longer than Path::kMaxLength.
   static Result<RStarTree> BuildExplicit(
       BufferPool* pool, const RTreeOptions& options,
-      const std::vector<std::tuple<TupleId, std::vector<float>, Path>>& entries);
+      const std::vector<ExplicitEntry>& entries);
 
   /// Inserts one point; appends all resulting path changes (including the new
-  /// tuple's path) to `*changes` when non-null.
+  /// tuple's path) to `*changes` when non-null. A tree at the depth limit
+  /// (CheckHeight) refuses, with OutOfRange and unchanged, any insert that
+  /// could split its root.
   Status Insert(std::span<const float> point, TupleId tid,
                 PathChangeSet* changes);
 
@@ -170,6 +185,8 @@ class RStarTree {
                      std::span<const float> point, const Path& old_path);
   void MarkDirty(PathChangeSet* changes, TupleId tid);
   Status FinalizeNewPaths(PathChangeSet* changes);
+  /// Entries forced re-insertion moves out of an overflowing leaf.
+  size_t ReinsertCount() const;
 
   BufferPool* pool_;
   RTreeOptions options_;

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/bit_util.h"
+#include "rtree/path.h"
 
 namespace pcube {
 
@@ -223,6 +224,14 @@ Result<CatalogData> LoadCatalog(BufferPool* pool, PageId root) {
   }
   PCUBE_READ(c.rtree_root, r.U64());
   PCUBE_READ(tmp32, r.U32());
+  // Every path of the tree must fit a Path (rtree/path.h); a deeper claim
+  // is damage, and must fail here rather than at the first descent.
+  if (tmp32 >= Path::kMaxLength) {
+    return Status::Corruption("catalog R-tree height " +
+                              std::to_string(tmp32) + " exceeds the " +
+                              std::to_string(Path::kMaxLength) +
+                              "-level path limit");
+  }
   c.rtree_height = static_cast<int>(tmp32);
   PCUBE_READ(c.rtree_fanout, r.U32());
   PCUBE_READ(c.rtree_entries, r.U64());

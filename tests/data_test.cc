@@ -89,9 +89,9 @@ TEST(Table1Test, MatchesPaperRows) {
   EXPECT_FLOAT_EQ(data.PrefValue(7, 0), 0.85f);
   // Paths are exactly the Table I column.
   auto entries = Table1TreeEntries();
-  EXPECT_EQ(std::get<2>(entries[0]), (Path{1, 1, 1}));
-  EXPECT_EQ(std::get<2>(entries[4]), (Path{2, 1, 1}));
-  EXPECT_EQ(std::get<2>(entries[7]), (Path{2, 2, 2}));
+  EXPECT_EQ(std::get<2>(entries[0]), (std::vector<uint16_t>{1, 1, 1}));
+  EXPECT_EQ(std::get<2>(entries[4]), (std::vector<uint16_t>{2, 1, 1}));
+  EXPECT_EQ(std::get<2>(entries[7]), (std::vector<uint16_t>{2, 2, 2}));
 }
 
 TEST(CoverTypeTest, SurrogateMatchesPublishedShape) {

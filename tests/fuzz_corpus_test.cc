@@ -11,6 +11,7 @@
 #include "bitmap/codec.h"
 #include "common/bit_util.h"
 #include "common/random.h"
+#include "rtree/path.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_manager.h"
 #include "workbench/catalog.h"
@@ -222,6 +223,26 @@ TEST(FuzzCorpusTest, CatalogLoadRejectsChainCycle) {
   auto loaded = LoadCatalog(fx.pool.get(), fx.root);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+}
+
+TEST(FuzzCorpusTest, CatalogLoadRejectsTreeDeeperThanPaths) {
+  // Workbench::Open descends the R-tree with inline Paths; a catalog that
+  // claims more levels than a Path holds is damage and must fail typed.
+  CatalogData sample = SampleCatalog();
+  sample.rtree_height = static_cast<int>(Path::kMaxLength);
+  {
+    CatalogFixture fx;
+    ASSERT_TRUE(SaveCatalog(fx.pool.get(), fx.root, sample).ok());
+    auto loaded = LoadCatalog(fx.pool.get(), fx.root);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  }
+  sample.rtree_height = static_cast<int>(Path::kMaxLength) - 1;
+  CatalogFixture fx;
+  ASSERT_TRUE(SaveCatalog(fx.pool.get(), fx.root, sample).ok());
+  auto loaded = LoadCatalog(fx.pool.get(), fx.root);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->rtree_height, sample.rtree_height);
 }
 
 }  // namespace

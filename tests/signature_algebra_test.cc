@@ -18,7 +18,8 @@ namespace {
 Signature Table1Signature(const PredicateSet& preds) {
   Dataset data = MakeTable1Dataset();
   Signature sig(2, 3);
-  for (const auto& [tid, point, path] : Table1TreeEntries()) {
+  for (const auto& [tid, point, slots] : Table1TreeEntries()) {
+    const Path path(slots.begin(), slots.end());
     if (preds.Matches(data, tid)) sig.SetPath(path);
   }
   return sig;

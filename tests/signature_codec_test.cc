@@ -25,7 +25,7 @@ Signature Reassemble(const Signature& original,
   SignatureFragment fragment(original.fanout(), original.levels());
   for (const PartialSignature& p : partials) {
     EXPECT_TRUE(
-        DecodePartialSignature(p.root_path, p.bytes, &fragment).ok());
+        DecodePartialSignature(p.root_sid, p.bytes, &fragment).ok());
   }
   return fragment.ToSignature();
 }
@@ -67,7 +67,7 @@ TEST(SignatureCodecTest, PartialSubsetDecodesPrefixOfTree) {
   // Decoding only the root partial yields a fragment whose arrays all match
   // the original signature (no garbage).
   SignatureFragment fragment(sig.fanout(), sig.levels());
-  ASSERT_TRUE(DecodePartialSignature(partials[0].root_path, partials[0].bytes,
+  ASSERT_TRUE(DecodePartialSignature(partials[0].root_sid, partials[0].bytes,
                                      &fragment).ok());
   EXPECT_GT(fragment.num_nodes(), 0u);
   Signature partial_sig = fragment.ToSignature();

@@ -21,7 +21,8 @@ namespace {
 Signature Table1CellSignature(int dim, uint32_t value) {
   Dataset data = MakeTable1Dataset();
   Signature sig(2, 3);
-  for (const auto& [tid, point, path] : Table1TreeEntries()) {
+  for (const auto& [tid, point, slots] : Table1TreeEntries()) {
+    const Path path(slots.begin(), slots.end());
     if (data.BoolValue(tid, dim) == value) sig.SetPath(path);
   }
   return sig;
