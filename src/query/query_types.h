@@ -27,23 +27,30 @@ struct SkylineQueryOptions {
   size_t skyband_k = 1;
 };
 
-/// One candidate-heap entry: an R-tree node or a data object.
+/// One candidate-heap entry: an R-tree node or a data object. Trivially
+/// copyable (the path is inline), so the engines move entries between the
+/// heap and the lists without touching the allocator.
 struct SearchEntry {
   /// Heap priority: skyline queries use the lower-corner coordinate sum
   /// d(n) (paper §V.A); top-k queries use f's lower bound (f(point) for
   /// data objects).
   double key = 0;
-  bool is_data = false;
   /// Child PageId for nodes, TupleId for data objects.
   uint64_t id = 0;
   /// MBR for nodes; min == max == point for data objects.
   RectF rect;
   /// Node path / full tuple path (1-based slots); empty for the root.
   Path path;
+  bool is_data = false;
 };
 
 /// Why an entry left the search (which Lemma 2 list it belongs to).
 enum class PruneReason { kNotPruned, kDominated, kBoolean };
+
+/// Whether an engine run files pruned entries into b_list / d_list. Only a
+/// run whose output seeds a later Lemma 2 query needs them; dropping them
+/// changes no answer and no counter.
+enum class PrunedLists { kKeep, kDrop };
 
 /// Counters reported by one query execution.
 struct EngineCounters {
@@ -60,7 +67,8 @@ struct EngineCounters {
 struct SkylineOutput {
   std::vector<SearchEntry> skyline;
   /// Entries pruned by boolean predicates / by domination (paper's global
-  /// b_list and d_list, kept to seed drill-down and roll-up queries).
+  /// b_list and d_list, kept to seed drill-down and roll-up queries). Empty
+  /// when the engine ran with PrunedLists::kDrop.
   std::vector<SearchEntry> b_list;
   std::vector<SearchEntry> d_list;
   EngineCounters counters;
@@ -70,6 +78,8 @@ struct SkylineOutput {
 struct TopKOutput {
   /// At most k data entries in ascending score (entry.key = exact score).
   std::vector<SearchEntry> results;
+  /// Empty when the engine ran with PrunedLists::kDrop. d_list stays empty:
+  /// the search stops at the k-th result, before score pruning can apply.
   std::vector<SearchEntry> b_list;
   std::vector<SearchEntry> d_list;
   /// Heap contents left unexamined when the k-th result was found; needed to

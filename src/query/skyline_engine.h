@@ -8,11 +8,11 @@
 
 #include <chrono>
 #include <optional>
-
 #include <vector>
 
 #include "common/trace.h"
 #include "core/probe.h"
+#include "query/candidate_heap.h"
 #include "query/dominance_kernels.h"
 #include "query/query_types.h"
 #include "query/verifier.h"
@@ -52,6 +52,9 @@ class SkylineEngine {
     deadline_ = deadline;
   }
 
+  /// kKeep (the default) fills b_list / d_list for a later Lemma 2 run.
+  void set_pruned_lists(PrunedLists lists) { lists_ = lists; }
+
  private:
   double EntryKey(const RectF& rect) const;
   /// Optimistic transformed coordinate of `rect` on dimension d: the least
@@ -64,9 +67,10 @@ class SkylineEngine {
   /// Writes the transformed coordinates of `rect` on the preference
   /// dimensions into cand_scratch_.
   void TransformInto(const RectF& rect) const;
-  /// Applies the paper's prune() (lines 14-20): preference first, boolean
-  /// second; files the entry into the appropriate list.
-  Result<bool> Prune(const SearchEntry& e);
+  /// First half of the paper's prune() (lines 14-20): files a dominated
+  /// entry into d_list, else queues it for the boolean probe (the second
+  /// half, CandidateHeap::ProbeQueued).
+  void Offer(SearchEntry&& e);
 
   const RStarTree* tree_;
   BooleanProbe* probe_;
@@ -74,8 +78,10 @@ class SkylineEngine {
   Trace* trace_ = nullptr;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   SkylineQueryOptions options_;
+  PrunedLists lists_ = PrunedLists::kKeep;
   std::vector<int> dims_;
   SkylineOutput out_;
+  CandidateHeap heap_;
   /// Column-major transformed coordinates of out_.skyline, appended as
   /// members are accepted, so every dominance test runs the batched kernel
   /// instead of re-deriving coordinates from each member's rect.

@@ -1,16 +1,19 @@
 // Top-k query processing with Algorithm 1 (paper §V.B): identical framework
 // to the skyline engine, but the candidate heap is ordered best-first by the
-// ranking function's lower bound f(n) = min_{x in n} f(x), and preference
-// pruning drops an entry when k results at least as good already exist.
-// Because entries pop in ascending bound order and data objects carry exact
-// scores, the first k accepted data objects are exactly the top-k.
+// ranking function's lower bound f(n) = min_{x in n} f(x). Because entries
+// pop in ascending bound order and data objects carry exact scores, the
+// first k accepted data objects are exactly the top-k, and the search stops
+// there — before the paper's score pruning (drop an entry once k results at
+// least as good exist) could ever apply, so only boolean pruning runs.
 #pragma once
 
 #include <chrono>
 #include <optional>
+#include <vector>
 
 #include "common/trace.h"
 #include "core/probe.h"
+#include "query/candidate_heap.h"
 #include "query/query_types.h"
 #include "query/ranking.h"
 #include "query/verifier.h"
@@ -44,9 +47,10 @@ class TopKEngine {
     deadline_ = deadline;
   }
 
- private:
-  Result<bool> Prune(const SearchEntry& e);
+  /// kKeep (the default) fills b_list for a later Lemma 2 run.
+  void set_pruned_lists(PrunedLists lists) { lists_ = lists; }
 
+ private:
   const RStarTree* tree_;
   BooleanProbe* probe_;
   const TupleVerifier* verifier_;
@@ -54,7 +58,9 @@ class TopKEngine {
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   const RankingFunction* f_;
   size_t k_;
+  PrunedLists lists_ = PrunedLists::kKeep;
   TopKOutput out_;
+  CandidateHeap heap_;
 };
 
 }  // namespace pcube

@@ -818,6 +818,7 @@ Status Workbench::ExecuteSignature(
                       request.ranking.get(), request.k);
     engine.set_trace(&resp->trace);
     if (deadline) engine.set_deadline(*deadline);
+    engine.set_pruned_lists(PrunedLists::kDrop);  // top-k caches no state
     auto run = engine.Run();
     if (!run.ok()) return run.status();
     resp->counters = run->counters;
@@ -830,6 +831,9 @@ Status Workbench::ExecuteSignature(
   SkylineEngine engine(tree_.get(), probe->get(), nullptr, request.skyline);
   engine.set_trace(&resp->trace);
   if (deadline) engine.set_deadline(*deadline);
+  // b_list / d_list only matter as the seeds of a later drill-down, so a
+  // run whose state is not cached does not file them.
+  if (state == nullptr) engine.set_pruned_lists(PrunedLists::kDrop);
   // A containment hit re-runs Algorithm 1 seeded by the cached ancestor's
   // output (Lemma 2, incremental.h) instead of restarting from the root;
   // the merged output can itself seed later drill-downs.

@@ -3,7 +3,9 @@
 // stack, fire a mixed battery of queries (skyline, dynamic skyline, skyband,
 // top-k with several ranking functions, multi-predicate, dimension subsets)
 // against naive oracles, then mutate the data (insert + delete batches with
-// incremental maintenance) and verify everything again.
+// incremental maintenance) and verify everything again. Every engine run
+// is repeated without the pruned lists (PrunedLists::kDrop), which must
+// change neither the answer nor a counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +23,47 @@ std::vector<TupleId> SkylineTids(const SkylineOutput& out) {
   for (const SearchEntry& e : out.skyline) tids.push_back(e.id);
   std::sort(tids.begin(), tids.end());
   return tids;
+}
+
+// A run that drops b_list / d_list must return the same entries, scores
+// and counters as one that keeps them; only sig_seconds may differ. The
+// kept lists hold exactly the entries the counters say were pruned.
+void ExpectCountersEqual(const EngineCounters& a, const EngineCounters& b) {
+  EXPECT_EQ(a.heap_peak, b.heap_peak);
+  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
+  EXPECT_EQ(a.pruned_boolean, b.pruned_boolean);
+  EXPECT_EQ(a.pruned_preference, b.pruned_preference);
+  EXPECT_EQ(a.verified, b.verified);
+  EXPECT_EQ(a.verify_failed, b.verify_failed);
+}
+
+void ExpectSameEntries(const std::vector<SearchEntry>& a,
+                       const std::vector<SearchEntry>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << "entry " << i;
+    EXPECT_EQ(a[i].key, b[i].key) << "entry " << i;
+  }
+}
+
+template <typename Output>
+void ExpectListParity(const Output& kept, const Output& dropped) {
+  ExpectCountersEqual(kept.counters, dropped.counters);
+  EXPECT_EQ(kept.b_list.size(), kept.counters.pruned_boolean);
+  EXPECT_EQ(kept.d_list.size(), kept.counters.pruned_preference);
+  EXPECT_TRUE(dropped.b_list.empty());
+  EXPECT_TRUE(dropped.d_list.empty());
+}
+
+void ExpectListParity(const SkylineOutput& kept, const SkylineOutput& dropped) {
+  ExpectSameEntries(kept.skyline, dropped.skyline);
+  ExpectListParity<SkylineOutput>(kept, dropped);
+}
+
+void ExpectListParity(const TopKOutput& kept, const TopKOutput& dropped) {
+  ExpectSameEntries(kept.results, dropped.results);
+  ExpectSameEntries(kept.remaining, dropped.remaining);
+  ExpectListParity<TopKOutput>(kept, dropped);
 }
 
 class StressTest : public ::testing::TestWithParam<int> {};
@@ -105,12 +148,19 @@ TEST_P(StressTest, RandomPipeline) {
     SCOPED_TRACE(phase);
     for (int q = 0; q < 6; ++q) {
       PredicateSet preds = random_preds();
-      // Plain skyline.
+      // Plain skyline, then the same run without the pruned lists.
       {
         auto out = w.SignatureSkyline(preds);
         ASSERT_TRUE(out.ok());
         EXPECT_EQ(SkylineTids(*out), oracle_skyband(preds, {}, 1))
             << preds.ToString();
+        auto probe = w.cube()->MakeProbe(preds);
+        ASSERT_TRUE(probe.ok());
+        SkylineEngine dropping(w.tree(), probe->get(), nullptr);
+        dropping.set_pruned_lists(PrunedLists::kDrop);
+        auto dropped = dropping.Run();
+        ASSERT_TRUE(dropped.ok());
+        ExpectListParity(*out, *dropped);
       }
       // Skyband / dynamic skyline via engine options.
       {
@@ -129,6 +179,13 @@ TEST_P(StressTest, RandomPipeline) {
         EXPECT_EQ(SkylineTids(*out),
                   oracle_skyband(preds, sopt.origin, sopt.skyband_k))
             << preds.ToString();
+        auto fresh_probe = w.cube()->MakeProbe(preds);
+        ASSERT_TRUE(fresh_probe.ok());
+        SkylineEngine dropping(w.tree(), fresh_probe->get(), nullptr, sopt);
+        dropping.set_pruned_lists(PrunedLists::kDrop);
+        auto dropped = dropping.Run();
+        ASSERT_TRUE(dropped.ok());
+        ExpectListParity(*out, *dropped);
       }
       // Top-k with a random ranking function family.
       {
@@ -157,6 +214,13 @@ TEST_P(StressTest, RandomPipeline) {
           EXPECT_NEAR(out->results[i].key, naive[i].first, 1e-6)
               << preds.ToString() << " rank " << i;
         }
+        auto probe = w.cube()->MakeProbe(preds);
+        ASSERT_TRUE(probe.ok());
+        TopKEngine dropping(w.tree(), probe->get(), nullptr, f.get(), k);
+        dropping.set_pruned_lists(PrunedLists::kDrop);
+        auto dropped = dropping.Run();
+        ASSERT_TRUE(dropped.ok());
+        ExpectListParity(*out, *dropped);
       }
     }
   };
