@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -68,8 +69,9 @@ class SignatureStore {
   uint64_t num_index_entries() const { return index_.num_entries(); }
 
   /// Writes the decomposed form of `sig` for `cell`, replacing any previous
-  /// version: partials with the same SID are overwritten in place, removed
-  /// SIDs are tombstoned, new SIDs get fresh pages.
+  /// version: partials with the same SID are overwritten in place (growing
+  /// into the page's unused tail when they end the page's blobs), removed
+  /// SIDs are tombstoned, new SIDs and outgrown partials get fresh space.
   Status Put(CellId cell, const Signature& sig);
 
   /// Loads the payload of the partial signature <cell, sid>; NotFound when
@@ -125,6 +127,10 @@ class SignatureStore {
   uint32_t append_offset_ = 0;
   /// Data pages owned by this store (for Compact's reclamation).
   std::vector<PageId> data_pages_;
+  /// End offset of the last blob on each data page appended to since
+  /// Create (unknown after Attach): Put grows a partial that ends there in
+  /// place instead of leaking its slot and appending it anew.
+  std::unordered_map<PageId, uint32_t> page_end_;
 };
 
 }  // namespace pcube
