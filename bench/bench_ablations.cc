@@ -39,26 +39,19 @@ void BM_CompressionScheme(benchmark::State& state, const char* scheme_name) {
     total_bytes = 0;
     Timer t;
     for (const Signature& sig : sigs) {
-      // Walk every node array and encode it with the chosen scheme.
-      std::vector<const SignatureNode*> stack{&sig.root()};
-      while (!stack.empty()) {
-        const SignatureNode* node = stack.back();
-        stack.pop_back();
-        if (node->bits.empty()) continue;
+      // Encode every node array with the chosen scheme.
+      for (const auto& [sid, bits] : sig.nodes()) {
         std::vector<uint8_t> buf;
         if (scheme == "adaptive") {
-          BitmapCodec::Encode(node->bits, &buf);
+          BitmapCodec::Encode(bits, &buf);
         } else if (scheme == "verbatim") {
-          BitmapCodec::EncodeWith(BitmapScheme::kVerbatim, node->bits, &buf);
+          BitmapCodec::EncodeWith(BitmapScheme::kVerbatim, bits, &buf);
         } else if (scheme == "wah") {
-          BitmapCodec::EncodeWith(BitmapScheme::kWah, node->bits, &buf);
+          BitmapCodec::EncodeWith(BitmapScheme::kWah, bits, &buf);
         } else {
-          BitmapCodec::EncodeWith(BitmapScheme::kSparse, node->bits, &buf);
+          BitmapCodec::EncodeWith(BitmapScheme::kSparse, bits, &buf);
         }
         total_bytes += buf.size();
-        for (const auto& [slot, child] : node->children) {
-          stack.push_back(child.get());
-        }
       }
     }
     state.SetIterationTime(t.ElapsedSeconds());

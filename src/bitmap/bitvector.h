@@ -4,7 +4,7 @@
 //
 // Storage is 32-byte aligned (common/simd/aligned.h) and the bulk algebra
 // (And/Or/AndNot/Count) dispatches to the kernel layer of DESIGN.md §12, so
-// every vector — fragment nodes, cache blocks, codec scratch — is a legal
+// every vector — signature nodes, cache blocks, codec scratch — is a legal
 // SIMD operand without copies.
 #pragma once
 

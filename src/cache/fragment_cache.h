@@ -28,7 +28,7 @@
 
 namespace pcube {
 
-/// One cached decode: the nodes this partial contributed to the fragment,
+/// One cached decode: the nodes this partial contributed to a cursor,
 /// in the order the codec produced them, with every node's bit words packed
 /// into one contiguous 32-byte-aligned block (DESIGN.md §12). Each node's
 /// slice starts on a 4-word (32-byte) boundary, so replaying a hit hands

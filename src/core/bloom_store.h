@@ -20,7 +20,8 @@ class BloomStore {
   explicit BloomStore(BufferPool* pool) : pool_(pool) {}
 
   /// Builds and stores the filter for `cell` from a signature: every set bit
-  /// contributes the SID of the path it addresses.
+  /// contributes the SID of the path it addresses. A rewrite reuses the
+  /// cell's pages and allocates only the extra ones a larger filter needs.
   Status Put(CellId cell, const Signature& sig, double bits_per_key);
 
   /// Loads a cell's filter; reads ceil(size/page) pages. NotFound when the
@@ -31,7 +32,8 @@ class BloomStore {
 
  private:
   BufferPool* pool_;
-  std::map<CellId, std::vector<PageId>> blobs_;  // pages of each serialized filter
+  /// Pages owned by each cell's filter; the first ceil(size/page) hold it.
+  std::map<CellId, std::vector<PageId>> blobs_;
   std::map<CellId, uint32_t> blob_sizes_;
   uint64_t num_pages_ = 0;
 };

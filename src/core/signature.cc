@@ -1,144 +1,74 @@
 #include "core/signature.h"
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <vector>
 
 namespace pcube {
 
-namespace {
-void EnsureBits(SignatureNode* node, uint32_t m) {
-  if (node->bits.empty()) node->bits = BitVector(m);
-}
-}  // namespace
-
 void Signature::SetPath(const Path& p) {
   PCUBE_CHECK_EQ(p.size(), static_cast<size_t>(levels_));
-  SignatureNode* node = &root_;
-  for (int i = 0; i < levels_; ++i) {
-    EnsureBits(node, m_);
-    uint16_t slot = p[i];
+  uint64_t sid = 0;
+  for (uint16_t slot : p) {
     PCUBE_DCHECK_GE(slot, 1);
     PCUBE_DCHECK_LE(slot, m_);
-    node->bits.Set(slot - 1);
-    if (i + 1 < levels_) {
-      auto& child = node->children[slot];
-      if (!child) child = std::make_unique<SignatureNode>();
-      node = child.get();
-    }
+    nodes_.try_emplace(sid, m_).first->second.Set(slot - 1);
+    sid = sid * (m_ + 1) + slot;
   }
 }
 
 void Signature::ClearPath(const Path& p) {
   PCUBE_CHECK_EQ(p.size(), static_cast<size_t>(levels_));
-  // Collect the node chain, then clear bottom-up while arrays go empty.
-  std::vector<SignatureNode*> chain{&root_};
-  SignatureNode* node = &root_;
-  for (int i = 0; i + 1 < levels_; ++i) {
-    auto it = node->children.find(p[i]);
-    if (it == node->children.end()) return;  // path not present
-    node = it->second.get();
-    chain.push_back(node);
+  // sids[i] names the depth-i node on the path. A node exists only under a
+  // set parent bit, so a missing leaf node means the path is not present.
+  std::array<uint64_t, Path::kMaxLength> sids;
+  uint64_t sid = 0;
+  for (int i = 0; i < levels_; ++i) {
+    sids[i] = sid;
+    sid = sid * (m_ + 1) + p[i];
   }
+  // Clear bottom-up while arrays go empty.
   for (int i = levels_ - 1; i >= 0; --i) {
-    SignatureNode* n = chain[i];
-    if (n->bits.empty()) return;
-    n->bits.Clear(p[i] - 1);
-    if (i + 1 < levels_) n->children.erase(p[i]);  // only if child emptied
-    if (n->bits.AnySet()) break;  // node still non-empty: stop propagating
+    auto it = nodes_.find(sids[i]);
+    if (it == nodes_.end()) return;
+    it->second.Clear(p[i] - 1);
+    if (it->second.AnySet()) return;
+    nodes_.erase(it);
   }
-  // Note: children.erase above runs only when the child's array emptied,
-  // because the loop advances upward only in that case.
 }
 
 bool Signature::Test(const Path& p) const {
   PCUBE_DCHECK_GE(p.size(), size_t{1});
   PCUBE_DCHECK_LE(p.size(), static_cast<size_t>(levels_));
-  const SignatureNode* node = &root_;
-  for (size_t i = 0; i < p.size(); ++i) {
-    if (node->bits.empty() || p[i] < 1 || p[i] > m_ || !node->bits.Get(p[i] - 1)) {
+  uint64_t sid = 0;
+  for (uint16_t slot : p) {
+    const BitVector* bits = Node(sid);
+    if (bits == nullptr || slot < 1 || slot > m_ || !bits->Get(slot - 1)) {
       return false;
     }
-    if (i + 1 == p.size()) return true;
-    auto it = node->children.find(p[i]);
-    if (it == node->children.end()) return false;
-    node = it->second.get();
+    sid = sid * (m_ + 1) + slot;
   }
   return true;
 }
 
-const SignatureNode* Signature::FindNode(const Path& p) const {
-  const SignatureNode* node = &root_;
-  for (uint16_t slot : p) {
-    auto it = node->children.find(slot);
-    if (it == node->children.end()) return nullptr;
-    node = it->second.get();
-  }
-  return node;
-}
-
-namespace {
-uint64_t CountBitsRec(const SignatureNode& n) {
-  uint64_t c = n.bits.Count();
-  for (const auto& [slot, child] : n.children) c += CountBitsRec(*child);
+uint64_t Signature::CountBits() const {
+  uint64_t c = 0;
+  for (const auto& [sid, bits] : nodes_) c += bits.Count();
   return c;
-}
-uint64_t CountNodesRec(const SignatureNode& n) {
-  uint64_t c = 1;
-  for (const auto& [slot, child] : n.children) c += CountNodesRec(*child);
-  return c;
-}
-bool EqualsRec(const SignatureNode& a, const SignatureNode& b) {
-  // Treat an absent/empty array as all-zero.
-  if (!(a.bits == b.bits)) {
-    if (a.bits.Count() != 0 || b.bits.Count() != 0) return false;
-  }
-  if (a.children.size() != b.children.size()) return false;
-  auto ia = a.children.begin();
-  auto ib = b.children.begin();
-  for (; ia != a.children.end(); ++ia, ++ib) {
-    if (ia->first != ib->first) return false;
-    if (!EqualsRec(*ia->second, *ib->second)) return false;
-  }
-  return true;
-}
-void DumpRec(const SignatureNode& n, Path* prefix, std::ostringstream* os) {
-  *os << PathToString(*prefix) << ": " << n.bits.ToString() << "\n";
-  for (const auto& [slot, child] : n.children) {
-    prefix->push_back(slot);
-    DumpRec(*child, prefix, os);
-    prefix->pop_back();
-  }
-}
-}  // namespace
-
-uint64_t Signature::CountBits() const { return CountBitsRec(root_); }
-uint64_t Signature::CountNodes() const { return CountNodesRec(root_); }
-
-bool Signature::Equals(const Signature& other) const {
-  return m_ == other.m_ && levels_ == other.levels_ &&
-         EqualsRec(root_, other.root_);
 }
 
 std::string Signature::ToString() const {
+  std::vector<uint64_t> sids;
+  sids.reserve(nodes_.size());
+  for (const auto& [sid, bits] : nodes_) sids.push_back(sid);
+  std::sort(sids.begin(), sids.end());
   std::ostringstream os;
-  Path prefix;
-  DumpRec(root_, &prefix, &os);
-  return os.str();
-}
-
-void Signature::CloneInto(const SignatureNode& src, SignatureNode* dst) {
-  dst->bits = src.bits;
-  for (const auto& [slot, child] : src.children) {
-    auto copy = std::make_unique<SignatureNode>();
-    CloneInto(*child, copy.get());
-    dst->children.emplace(slot, std::move(copy));
+  for (uint64_t sid : sids) {
+    os << PathToString(SidToPath(sid, m_, SidLevel(sid, m_))) << ": "
+       << nodes_.at(sid).ToString() << "\n";
   }
-}
-
-Signature Signature::Clone() const {
-  Signature out(m_, levels_);
-  CloneInto(root_, &out.root_);
-  return out;
+  return os.str();
 }
 
 }  // namespace pcube

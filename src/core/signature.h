@@ -1,37 +1,33 @@
-// In-memory signature tree (paper §IV.B.1). A signature summarises, for one
-// cube cell, which regions of the shared R-tree partition contain tuples of
-// that cell: it mirrors the R-tree's topology, holding one bit array per
-// node in which bit b (1-based, matching slot b of the R-tree node) is 1 iff
-// the subtree under that slot contains at least one tuple of the cell. Bits
-// of leaf-level arrays address tuple entries directly, which is what makes
+// In-memory signature (paper §IV.B.1). A signature summarises, for one cube
+// cell, which regions of the shared R-tree partition contain tuples of that
+// cell: it mirrors the R-tree's topology, holding one bit array per node in
+// which bit b (1-based, matching slot b of the R-tree node) is 1 iff the
+// subtree under that slot contains at least one tuple of the cell. Bits of
+// leaf-level arrays address tuple entries directly, which is what makes
 // signature-based boolean checking exact (paper §V.A).
 //
-// This class is the authoritative, uncompressed form used by the builder,
-// the algebra (union/intersection) and incremental maintenance; the codec in
-// signature_codec.h turns it into page-sized compressed partial signatures.
+// Nodes are named by their SID (rtree/path.h): the child under slot s of
+// node `sid` is `sid * (M+1) + s`, the root is 0. A signature is a map from
+// SID to bit array with one entry per node that has a set bit — the form
+// the builder, the algebra, maintenance, the codec (signature_codec.h) and
+// the query-time cursor all share.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 
 #include "bitmap/bitvector.h"
 #include "rtree/path.h"
 
 namespace pcube {
 
-/// One node of a signature tree: a bit array over the R-tree node's slots
-/// plus child signature nodes for the slots that are internal and set.
-struct SignatureNode {
-  BitVector bits;
-  /// Keyed by 1-based slot; present only below set bits of internal levels.
-  std::map<uint16_t, std::unique_ptr<SignatureNode>> children;
-};
-
 /// Signature of one cell over an R-tree with fanout `M` and `levels` node
 /// levels (= tuple path length; leaf arrays are at depth levels-1).
 class Signature {
  public:
+  using NodeMap = std::unordered_map<uint64_t, BitVector>;
+
   Signature(uint32_t M, int levels) : m_(M), levels_(levels) {}
 
   Signature(Signature&&) = default;
@@ -54,34 +50,48 @@ class Signature {
   bool Test(const Path& p) const;
 
   /// True when no bit is set.
-  bool Empty() const { return !root_.bits.AnySet() && root_.children.empty(); }
+  bool Empty() const { return nodes_.empty(); }
 
-  const SignatureNode& root() const { return root_; }
-  SignatureNode& mutable_root() { return root_; }
+  /// Bit array of the node `sid`, or nullptr when the node has none.
+  const BitVector* Node(uint64_t sid) const {
+    auto it = nodes_.find(sid);
+    return it == nodes_.end() ? nullptr : &it->second;
+  }
 
-  /// Node addressed by path prefix `p` (empty = root), or nullptr.
-  const SignatureNode* FindNode(const Path& p) const;
+  /// Adds the array of node `sid`; a no-op when the node is already
+  /// present. For decoders and the algebra, which produce whole arrays.
+  void AddNode(uint64_t sid, BitVector bits) {
+    nodes_.emplace(sid, std::move(bits));
+  }
+
+  const NodeMap& nodes() const { return nodes_; }
 
   /// Total set bits across all arrays (for stats/tests).
   uint64_t CountBits() const;
 
-  /// Number of materialised arrays (nodes).
-  uint64_t CountNodes() const;
+  /// Number of node arrays.
+  uint64_t CountNodes() const { return nodes_.size(); }
 
-  bool Equals(const Signature& other) const;
+  bool Equals(const Signature& other) const {
+    return m_ == other.m_ && levels_ == other.levels_ &&
+           nodes_ == other.nodes_;
+  }
 
-  /// Multi-line dump ("<path>: bits") for tests and debugging.
+  /// Multi-line dump ("<path>: bits", ascending SID) for tests and
+  /// debugging.
   std::string ToString() const;
 
   /// Deep copy (signatures are otherwise move-only to avoid accidents).
-  Signature Clone() const;
+  Signature Clone() const {
+    Signature out(m_, levels_);
+    out.nodes_ = nodes_;
+    return out;
+  }
 
  private:
-  static void CloneInto(const SignatureNode& src, SignatureNode* dst);
-
   uint32_t m_;
   int levels_;
-  SignatureNode root_;
+  NodeMap nodes_;
 };
 
 }  // namespace pcube

@@ -4,67 +4,31 @@ namespace pcube {
 
 namespace {
 
-void UnionRec(const SignatureNode& a, const SignatureNode& b,
-              SignatureNode* out, uint32_t m) {
-  out->bits = a.bits.empty() ? BitVector(m) : a.bits;
-  if (!b.bits.empty()) {
-    if (out->bits.empty()) {
-      out->bits = b.bits;
-    } else {
-      out->bits.InplaceOr(b.bits);
-    }
-  }
-  auto ia = a.children.begin();
-  auto ib = b.children.begin();
-  while (ia != a.children.end() || ib != b.children.end()) {
-    uint16_t slot;
-    const SignatureNode* ca = nullptr;
-    const SignatureNode* cb = nullptr;
-    if (ib == b.children.end() ||
-        (ia != a.children.end() && ia->first <= ib->first)) {
-      slot = ia->first;
-      ca = ia->second.get();
-    } else {
-      slot = ib->first;
-    }
-    if (ib != b.children.end() && ib->first == slot) cb = ib->second.get();
-    auto child = std::make_unique<SignatureNode>();
-    static const SignatureNode kEmpty;
-    UnionRec(ca != nullptr ? *ca : kEmpty, cb != nullptr ? *cb : kEmpty,
-             child.get(), m);
-    out->children.emplace(slot, std::move(child));
-    if (ca != nullptr) ++ia;
-    if (cb != nullptr) ++ib;
-  }
-}
-
-/// Returns true when the intersection node has at least one set bit.
-bool IntersectRec(const SignatureNode& a, const SignatureNode& b,
-                  SignatureNode* out, uint32_t m, int depth, int levels) {
-  if (a.bits.empty() || b.bits.empty()) return false;
-  out->bits = a.bits;
+/// Intersects the subtrees of node `sid` (at path length `level`) into
+/// `out`; returns false when no tuple of the subtree is in both inputs.
+bool IntersectRec(const Signature& a, const Signature& b, uint64_t sid,
+                  int level, Signature* out) {
+  const BitVector* x = a.Node(sid);
+  const BitVector* y = b.Node(sid);
+  if (x == nullptr || y == nullptr) return false;
+  BitVector bits = *x;
   // The kernel-backed AND reports liveness as it combines (one pass, no
   // separate AnySet scan); a dead intersection prunes the whole subtree.
-  if (!out->bits.InplaceAnd(b.bits)) return false;
-  if (depth + 1 < levels) {
+  if (!bits.InplaceAnd(*y)) return false;
+  if (level + 1 < a.levels()) {
     // Inner level: a set bit must be confirmed by a non-empty child
     // intersection.
-    for (size_t bit = out->bits.FindNextSet(0); bit < out->bits.size();
-         bit = out->bits.FindNextSet(bit + 1)) {
-      uint16_t slot = static_cast<uint16_t>(bit + 1);
-      auto ia = a.children.find(slot);
-      auto ib = b.children.find(slot);
-      bool alive = false;
-      if (ia != a.children.end() && ib != b.children.end()) {
-        auto child = std::make_unique<SignatureNode>();
-        alive = IntersectRec(*ia->second, *ib->second, child.get(), m,
-                             depth + 1, levels);
-        if (alive) out->children.emplace(slot, std::move(child));
+    const uint64_t base = a.fanout() + 1;
+    for (size_t bit = bits.FindNextSet(0); bit < bits.size();
+         bit = bits.FindNextSet(bit + 1)) {
+      if (!IntersectRec(a, b, sid * base + bit + 1, level + 1, out)) {
+        bits.Clear(bit);
       }
-      if (!alive) out->bits.Clear(bit);
     }
+    if (!bits.AnySet()) return false;
   }
-  return out->bits.AnySet();
+  out->AddNode(sid, std::move(bits));
+  return true;
 }
 
 }  // namespace
@@ -73,7 +37,14 @@ Signature SignatureUnion(const Signature& a, const Signature& b) {
   PCUBE_CHECK_EQ(a.fanout(), b.fanout());
   PCUBE_CHECK_EQ(a.levels(), b.levels());
   Signature out(a.fanout(), a.levels());
-  UnionRec(a.root(), b.root(), &out.mutable_root(), a.fanout());
+  for (const auto& [sid, bits] : a.nodes()) {
+    BitVector merged = bits;
+    if (const BitVector* other = b.Node(sid)) merged.InplaceOr(*other);
+    out.AddNode(sid, std::move(merged));
+  }
+  for (const auto& [sid, bits] : b.nodes()) {
+    if (a.Node(sid) == nullptr) out.AddNode(sid, bits);
+  }
   return out;
 }
 
@@ -81,8 +52,7 @@ Signature SignatureIntersect(const Signature& a, const Signature& b) {
   PCUBE_CHECK_EQ(a.fanout(), b.fanout());
   PCUBE_CHECK_EQ(a.levels(), b.levels());
   Signature out(a.fanout(), a.levels());
-  IntersectRec(a.root(), b.root(), &out.mutable_root(), a.fanout(), 0,
-               a.levels());
+  IntersectRec(a, b, 0, 0, &out);
   return out;
 }
 

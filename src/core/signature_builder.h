@@ -1,8 +1,9 @@
 // Builds cell signatures from tuple paths (paper §IV.B.1, "Summarizing Data
 // for Group-bys"). The paper computes each cuboid's signatures tuple-wise by
-// recursively sorting the grouped tuples' paths; an in-memory signature tree
-// makes the sort unnecessary — inserting paths in any order produces the
-// identical signature — so the builder just groups by cell and inserts.
+// recursively sorting the grouped tuples' paths; an in-memory signature (a
+// SID-keyed node map) makes the sort unnecessary — inserting paths in any
+// order produces the identical signature — so the builder just groups by
+// cell and inserts.
 #pragma once
 
 #include <vector>

@@ -13,7 +13,7 @@ Status SignatureCursor::LoadPartialAt(uint64_t sid) {
       // root-to-leaf prefixes in the same order, so insertion is exact.
       for (size_t i = 0; i < hit->num_nodes(); ++i) {
         // no-op if an ancestor partial already supplied the node
-        fragment_.AddNode(hit->sid(i), hit->NodeBits(i));
+        loaded_.AddNode(hit->sid(i), hit->NodeBits(i));
       }
       return Status::OK();
     }
@@ -34,7 +34,7 @@ Status SignatureCursor::LoadPartialAt(uint64_t sid) {
   ++partials_loaded_;
   std::vector<std::pair<uint64_t, BitVector>> added;
   PCUBE_RETURN_NOT_OK(DecodePartialSignature(
-      sid, *bytes, &fragment_, cache_ != nullptr ? &added : nullptr));
+      sid, *bytes, &loaded_, cache_ != nullptr ? &added : nullptr));
   if (cache_ != nullptr) {
     cache_->Insert(cell_, sid, true, std::move(added), stamp);
   }
@@ -48,30 +48,30 @@ Result<bool> SignatureCursor::EnsureNode(uint64_t sid,
     root_loaded_ = true;
     PCUBE_RETURN_NOT_OK(LoadPartialAt(0));
   }
-  if (fragment_.HasNode(sid)) return true;
+  if (loaded_.Node(sid) != nullptr) return true;
   // Probe partials rooted at successively deeper prefixes of the path.
   for (size_t i = 0; i < depth; ++i) {
     PCUBE_RETURN_NOT_OK(LoadPartialAt(prefix_sids[i]));
-    if (fragment_.HasNode(sid)) return true;
+    if (loaded_.Node(sid) != nullptr) return true;
   }
   return false;
 }
 
 Result<bool> SignatureCursor::Test(const Path& path) {
   PCUBE_DCHECK_GE(path.size(), size_t{1});
-  PCUBE_DCHECK_LE(path.size(), static_cast<size_t>(levels_));
-  const uint32_t m = fragment_.fanout();
+  PCUBE_DCHECK_LE(path.size(), static_cast<size_t>(loaded_.levels()));
+  const uint32_t m = loaded_.fanout();
   // prefix_sids[i] is the SID of the path's first i+1 slots, derived one
   // level at a time: sid(p + slot) = sid(p) * (M+1) + slot.
   std::array<uint64_t, Path::kMaxLength> prefix_sids;
   uint64_t sid = 0;  // node whose array we are inspecting (root first)
   for (size_t i = 0; i < path.size(); ++i) {
-    const BitVector* bits = fragment_.Node(sid);
+    const BitVector* bits = loaded_.Node(sid);
     if (bits == nullptr) {
       auto present = EnsureNode(sid, prefix_sids.data(), i);
       if (!present.ok()) return present.status();
       if (!*present) return false;
-      bits = fragment_.Node(sid);
+      bits = loaded_.Node(sid);
     }
     const uint16_t slot = path[i];
     if (slot < 1 || slot > m || !bits->Get(slot - 1)) return false;

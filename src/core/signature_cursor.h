@@ -33,8 +33,7 @@ class SignatureCursor {
       : store_(store),
         cell_(cell),
         cache_(cache),
-        fragment_(fanout, levels),
-        levels_(levels) {}
+        loaded_(fanout, levels) {}
 
   /// True iff the node/tuple addressed by `path` (length in [1, levels]) is
   /// marked present for this cell. Loads partial signatures on demand.
@@ -42,10 +41,6 @@ class SignatureCursor {
 
   /// Number of partial-signature pages loaded so far.
   uint64_t partials_loaded() const { return partials_loaded_; }
-
-  const SignatureFragment& fragment() const { return fragment_; }
-
-  uint32_t fanout() const { return fragment_.fanout(); }
 
  private:
   /// Ensures the array of the node `sid` is present if it exists in the
@@ -59,8 +54,8 @@ class SignatureCursor {
   const SignatureStore* store_;
   CellId cell_;
   FragmentCache* cache_;
-  SignatureFragment fragment_;
-  int levels_;
+  /// The nodes decoded so far: a subset of the cell's stored signature.
+  Signature loaded_;
   std::unordered_set<uint64_t> attempted_;  // partial SIDs already probed
   uint64_t partials_loaded_ = 0;
   bool root_loaded_ = false;

@@ -29,6 +29,9 @@ void UnpackLocation(uint64_t value, PageId* pid, uint32_t* offset,
   *pid = static_cast<PageId>(value >> (kOffBits + kLenBits));
 }
 
+/// The slot of a location: its page and offset, whatever its length.
+uint64_t SlotOf(uint64_t location) { return location & ~kLenMask; }
+
 /// Sentinel directory value for a deleted partial.
 constexpr uint64_t kTombstone = ~uint64_t{0};
 
@@ -59,7 +62,8 @@ uint32_t SignatureStore::InternCell(CellId cell) {
   return id;
 }
 
-Result<uint64_t> SignatureStore::AppendBlob(const std::vector<uint8_t>& bytes) {
+Result<uint64_t> SignatureStore::AppendBlob(const std::vector<uint8_t>& bytes,
+                                            uint32_t room) {
   // Partials are packed into shared pages ("the data summarization is much
   // cheaper in storage cost", §IV.A): open a fresh page only when the
   // current one cannot hold the blob.
@@ -74,11 +78,13 @@ Result<uint64_t> SignatureStore::AppendBlob(const std::vector<uint8_t>& bytes) {
   auto handle = pool_->GetMutable(append_page_, IoCategory::kSignature);
   if (!handle.ok()) return handle.status();
   std::copy(bytes.begin(), bytes.end(), (*handle)->data() + append_offset_);
-  uint32_t offset = append_offset_;
-  append_offset_ += static_cast<uint32_t>(bytes.size());
+  const uint64_t loc = PackLocation(append_page_, append_offset_,
+                                    static_cast<uint32_t>(bytes.size()));
+  append_offset_ = static_cast<uint32_t>(
+      std::min(append_offset_ + bytes.size() + room, kPageSize));
   page_end_[append_page_] = append_offset_;
-  return PackLocation(append_page_, offset,
-                      static_cast<uint32_t>(bytes.size()));
+  if (room > 0) slot_end_[SlotOf(loc)] = append_offset_;
+  return loc;
 }
 
 Status SignatureStore::Put(CellId cell, const Signature& sig) {
@@ -98,37 +104,47 @@ Status SignatureStore::Put(CellId cell, const Signature& sig) {
   for (const PartialSignature& p : partials) {
     new_sids.insert(p.root_sid);
     PCUBE_CHECK_LE(p.bytes.size(), kMaxPayload);
+    const uint32_t size = static_cast<uint32_t>(p.bytes.size());
+    uint32_t room = 0;
     auto it = old_locs.find(p.root_sid);
     if (it != old_locs.end()) {
       PageId pid;
       uint32_t offset, len;
       UnpackLocation(it->second, &pid, &offset, &len);
-      // A slot that ends where its page's blobs end may also grow into the
-      // page's unused tail: no partial owns those bytes.
-      auto end = page_end_.find(pid);
+      // The slot owns its bytes and any it holds past them (growth room a
+      // move gave it, or what an earlier version filled); when it also
+      // ends its page's blobs, no partial owns the page's tail.
+      auto slot_end = slot_end_.find(SlotOf(it->second));
+      const uint32_t end =
+          slot_end != slot_end_.end() ? slot_end->second : offset + len;
+      auto page_end = page_end_.find(pid);
       const bool last_on_page =
-          end != page_end_.end() && end->second == offset + len;
-      if (p.bytes.size() <= len ||
-          (last_on_page && offset + p.bytes.size() <= kPageSize)) {
+          page_end != page_end_.end() && page_end->second == end;
+      if (offset + size <= (last_on_page ? kPageSize : end)) {
         // Overwrite in place; a size change updates the directory length.
-        if (p.bytes.size() > len) {
-          end->second = offset + static_cast<uint32_t>(p.bytes.size());
-          if (pid == append_page_) append_offset_ = end->second;
+        if (offset + size > end) {
+          page_end->second = offset + size;
+          if (pid == append_page_) append_offset_ = page_end->second;
+          if (slot_end != slot_end_.end()) slot_end->second = offset + size;
+        } else if (size < len && slot_end == slot_end_.end()) {
+          slot_end_.emplace(SlotOf(it->second), end);  // keep it for regrowth
         }
         auto handle = pool_->GetMutable(pid, IoCategory::kSignature);
         if (!handle.ok()) return handle.status();
         std::copy(p.bytes.begin(), p.bytes.end(), (*handle)->data() + offset);
-        if (p.bytes.size() != len) {
-          PCUBE_RETURN_NOT_OK(index_.Insert(
-              MakeKey(dense, p.root_sid),
-              PackLocation(pid, offset, static_cast<uint32_t>(p.bytes.size()))));
+        if (size != len) {
+          PCUBE_RETURN_NOT_OK(index_.Insert(MakeKey(dense, p.root_sid),
+                                            PackLocation(pid, offset, size)));
         }
         continue;
       }
-      // Outgrown its slot: the old bytes leak until compaction; append anew.
+      // Outgrown its slot: the old bytes leak until compaction; move it
+      // with room to grow in place from now on.
+      if (slot_end != slot_end_.end()) slot_end_.erase(slot_end);
+      room = kGrowthRoom;
       --num_partials_;
     }
-    auto loc = AppendBlob(p.bytes);
+    auto loc = AppendBlob(p.bytes, room);
     if (!loc.ok()) return loc.status();
     ++num_partials_;
     PCUBE_RETURN_NOT_OK(index_.Insert(MakeKey(dense, p.root_sid), *loc));
@@ -138,6 +154,7 @@ Status SignatureStore::Put(CellId cell, const Signature& sig) {
   for (const auto& [sid, loc] : old_locs) {
     if (new_sids.count(sid) == 0) {
       PCUBE_RETURN_NOT_OK(index_.Insert(MakeKey(dense, sid), kTombstone));
+      slot_end_.erase(SlotOf(loc));
       --num_partials_;
     }
   }
@@ -193,14 +210,14 @@ Result<Signature> SignatureStore::LoadFull(CellId cell, uint32_t fanout,
                                            int levels) const {
   auto sids = ListPartials(cell);
   if (!sids.ok()) return sids.status();
-  SignatureFragment fragment(fanout, levels);
+  Signature sig(fanout, levels);
   // Ascending SID order == generation (BFS) order, so skip sets line up.
   for (uint64_t sid : *sids) {
     auto bytes = LoadPartial(cell, sid);
     if (!bytes.ok()) return bytes.status();
-    PCUBE_RETURN_NOT_OK(DecodePartialSignature(sid, *bytes, &fragment));
+    PCUBE_RETURN_NOT_OK(DecodePartialSignature(sid, *bytes, &sig));
   }
-  return fragment.ToSignature();
+  return sig;
 }
 
 Result<bool> SignatureStore::HasCell(CellId cell) const {
@@ -229,6 +246,7 @@ Status SignatureStore::Compact() {
   std::vector<PageId> old_pages = std::move(data_pages_);
   data_pages_.clear();
   page_end_.clear();
+  slot_end_.clear();
   append_page_ = kInvalidPageId;
   append_offset_ = 0;
   num_pages_ = 0;

@@ -35,6 +35,9 @@ class SignatureStore {
   /// cells are packed into shared pages; the directory value carries
   /// (page, offset, length), so loading any partial is one page read.
   static constexpr size_t kMaxPayload = kPageSize;
+  /// Bytes reserved after a partial that outgrew its slot and moved, so the
+  /// next versions grow in place instead of moving (and leaking) again.
+  static constexpr uint32_t kGrowthRoom = 64;
 
   static Result<SignatureStore> Create(BufferPool* pool);
 
@@ -70,8 +73,10 @@ class SignatureStore {
 
   /// Writes the decomposed form of `sig` for `cell`, replacing any previous
   /// version: partials with the same SID are overwritten in place (growing
-  /// into the page's unused tail when they end the page's blobs), removed
-  /// SIDs are tombstoned, new SIDs and outgrown partials get fresh space.
+  /// into bytes their slot still owns, or into the page's unused tail when
+  /// they end the page's blobs), removed SIDs are tombstoned, new SIDs get
+  /// fresh space, and an outgrown partial moves to fresh space followed by
+  /// kGrowthRoom.
   Status Put(CellId cell, const Signature& sig);
 
   /// Loads the payload of the partial signature <cell, sid>; NotFound when
@@ -114,8 +119,10 @@ class SignatureStore {
   static uint64_t MakeKey(uint32_t dense_cell, uint64_t sid);
   Result<uint32_t> DenseId(CellId cell) const;
   uint32_t InternCell(CellId cell);
-  /// Appends a blob to the packed data pages; returns its packed location.
-  Result<uint64_t> AppendBlob(const std::vector<uint8_t>& bytes);
+  /// Appends a blob to the packed data pages, reserving up to `room` bytes
+  /// after it (as far as the page allows); returns its packed location.
+  Result<uint64_t> AppendBlob(const std::vector<uint8_t>& bytes,
+                              uint32_t room = 0);
 
   BPlusTree index_;
   BufferPool* pool_;
@@ -131,6 +138,12 @@ class SignatureStore {
   /// Create (unknown after Attach): Put grows a partial that ends there in
   /// place instead of leaking its slot and appending it anew.
   std::unordered_map<PageId, uint32_t> page_end_;
+  /// End offset of the bytes a slot owns past its blob — a moved partial's
+  /// growth room, or the bytes a shrunk partial gave up — keyed by the
+  /// slot's location with length 0. Recorded in memory as slots move or
+  /// shrink (nothing is known for slots as an Attach finds them), cleared
+  /// by Compact.
+  std::unordered_map<uint64_t, uint32_t> slot_end_;
 };
 
 }  // namespace pcube

@@ -226,6 +226,73 @@ TEST(MaintenanceTest, CompositeCellsMaintainedToo) {
   }
 }
 
+TEST(MaintenanceTest, BloomRewritesReuseTheirPages) {
+  // Small batches rewrite the Bloom filters of the cells they touch. Every
+  // filter here fits one page, so the rewrites must take no new pages; and
+  // the Bloom probe must still never miss what the signature probe finds.
+  SyntheticConfig config;
+  config.num_tuples = 880;
+  config.num_bool = 2;
+  config.num_pref = 2;
+  config.bool_cardinality = 3;
+  config.seed = 90;
+  Dataset full = GenerateSynthetic(config);
+  Dataset initial(full.schema(), 0);
+  for (TupleId t = 0; t < 800; ++t) {
+    initial.Append(full.BoolRow(t), full.PrefPoint(t));
+  }
+  WorkbenchOptions options;
+  options.rtree.max_entries = 8;
+  options.rtree_by_insertion = true;
+  options.pcube.build_bloom = true;
+  auto wb = Workbench::Build(std::move(initial), options);
+  ASSERT_TRUE(wb.ok());
+  Workbench& w = **wb;
+  auto bloom_pages = [&] {
+    const PCube& cube = *w.cube();
+    return cube.MaterializedPages() - cube.store().num_pages() -
+           cube.store().index().num_pages();
+  };
+  const uint64_t pages = bloom_pages();
+  EXPECT_EQ(pages, 6u);  // one per cell
+
+  for (int batch = 0; batch < 10; ++batch) {
+    WriteBatch wbatch;
+    for (int i = 0; i < 8; ++i) {
+      wbatch.inserts.push_back(MakeRow(full, 800 + batch * 8 + i));
+    }
+    auto applied = w.Apply(wbatch);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(bloom_pages(), pages) << "batch " << batch;
+  }
+
+  auto paths = PathTable::Collect(*w.tree());
+  ASSERT_TRUE(paths.ok());
+  for (int dim = 0; dim < 2; ++dim) {
+    for (uint32_t v = 0; v < 3; ++v) {
+      PredicateSet preds{{dim, v}};
+      auto bloom = w.cube()->MakeBloomProbe(preds);
+      auto exact = w.cube()->MakeProbe(preds);
+      ASSERT_TRUE(bloom.ok());
+      ASSERT_TRUE(exact.ok());
+      for (TupleId t = 0; t < w.data().num_tuples(); t += 5) {
+        const Path& p = paths->path(t);
+        for (size_t len = 1; len <= p.size(); ++len) {
+          Path prefix(p.begin(), p.begin() + len);
+          auto want = (*exact)->Test(prefix);
+          auto got = (*bloom)->Test(prefix);
+          ASSERT_TRUE(want.ok());
+          ASSERT_TRUE(got.ok());
+          if (*want) {
+            EXPECT_TRUE(*got) << "bloom false negative at "
+                              << PathToString(prefix);
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MaintenanceTest, ::testing::Range(0, 4));
 
 }  // namespace

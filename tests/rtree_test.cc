@@ -107,8 +107,8 @@ TEST(PathTest, SidsUniqueAcrossLevels) {
 }
 
 TEST(PathTest, OrderAndEqualityMatchVector) {
-  // BuildExplicit and SignatureFragment::ToSignature rely on a parent
-  // sorting before its children, as in std::vector's lexicographic order.
+  // BuildExplicit relies on a parent sorting before its children, as in
+  // std::vector's lexicographic order.
   Random rng(77);
   auto random_slots = [&] {
     std::vector<uint16_t> v(rng.Uniform(Path::kMaxLength + 1));

@@ -30,12 +30,12 @@ TEST(SignatureAlgebraTest, Fig3WorkedExample) {
   // t7 <2,2,1>.
   Signature a2 = Table1Signature({{kTable1DimA, 1}});
   Signature b2 = Table1Signature({{kTable1DimB, 1}});
-  EXPECT_EQ(a2.root().bits.ToString(), "11");
-  EXPECT_EQ(b2.root().bits.ToString(), "11");
+  EXPECT_EQ(a2.Node(0)->ToString(), "11");  // SID 0: the root
+  EXPECT_EQ(b2.Node(0)->ToString(), "11");
 
   // Union (A=a2 or B=b2): tuples t2, t6, t7.
   Signature u = SignatureUnion(a2, b2);
-  EXPECT_EQ(u.root().bits.ToString(), "11");
+  EXPECT_EQ(u.Node(0)->ToString(), "11");
   EXPECT_TRUE(u.Test({1, 1, 2}));  // t2
   EXPECT_TRUE(u.Test({2, 1, 2}));  // t6
   EXPECT_TRUE(u.Test({2, 2, 1}));  // t7
@@ -46,7 +46,7 @@ TEST(SignatureAlgebraTest, Fig3WorkedExample) {
   // becomes "10" because the bit-and at the root ("11") is cleaned up by the
   // empty child intersection under N2.
   Signature i = SignatureIntersect(a2, b2);
-  EXPECT_EQ(i.root().bits.ToString(), "10");
+  EXPECT_EQ(i.Node(0)->ToString(), "10");
   EXPECT_TRUE(i.Test({1, 1, 2}));
   EXPECT_FALSE(i.Test({2}));
   EXPECT_FALSE(i.Test({2, 1, 2}));

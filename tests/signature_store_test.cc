@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/bloom_store.h"
 #include "core/signature_cursor.h"
 #include "core/signature_store.h"
 
@@ -18,6 +19,22 @@ Signature RandomSignature(uint32_t m, int levels, int paths, uint64_t seed) {
     sig.SetPath(p);
   }
   return sig;
+}
+
+/// Payload size of `sig`'s only partial.
+size_t OnlyPartialSize(const Signature& sig) {
+  auto partials = DecomposeSignature(sig, SignatureStore::kMaxPayload);
+  EXPECT_EQ(partials.size(), 1u);
+  return partials.empty() ? size_t{0} : partials[0].bytes.size();
+}
+
+/// Adds `n` random tuple paths to a 3-level signature of fanout `m`.
+void AddRandomPaths(Signature* sig, uint32_t m, int n, Random* rng) {
+  for (int i = 0; i < n; ++i) {
+    Path p(3);
+    for (auto& slot : p) slot = static_cast<uint16_t>(1 + rng->Uniform(m));
+    sig->SetPath(p);
+  }
 }
 
 TEST(SignatureStoreLimitsTest, SidBitsBindNoLaterThanPathCapacity) {
@@ -92,44 +109,136 @@ TEST_F(SignatureStoreTest, GrownPartialEndingItsPageGrowsInPlace) {
   ASSERT_TRUE(store.ok());
   Random rng(44);
   Signature sig = RandomSignature(5, 3, 20, 43);
-  auto only_partial_size = [&](const Signature& s) {
-    auto partials = DecomposeSignature(s, SignatureStore::kMaxPayload);
-    EXPECT_EQ(partials.size(), 1u);
-    return partials.empty() ? size_t{0} : partials[0].bytes.size();
-  };
-  auto add_paths = [&](Signature* s) {
-    for (int i = 0; i < 8; ++i) {
-      Path p(3);
-      for (auto& slot : p) slot = static_cast<uint16_t>(1 + rng.Uniform(5));
-      s->SetPath(p);
-    }
-  };
   ASSERT_TRUE(store->Put(9, sig).ok());
   // The cell's only partial is the last blob on the append page, so each
   // larger version takes over the page's tail instead of leaving its old
   // bytes behind: the append cursor ends where the partial ends.
   for (int round = 0; round < 4; ++round) {
-    const size_t before = only_partial_size(sig);
-    add_paths(&sig);
-    ASSERT_GT(only_partial_size(sig), before);
+    const size_t before = OnlyPartialSize(sig);
+    AddRandomPaths(&sig, 5, 8, &rng);
+    ASSERT_GT(OnlyPartialSize(sig), before);
     ASSERT_TRUE(store->Put(9, sig).ok());
-    EXPECT_EQ(store->append_offset(), only_partial_size(sig));
+    EXPECT_EQ(store->append_offset(), OnlyPartialSize(sig));
     auto loaded = store->LoadFull(9, 5, 3);
     ASSERT_TRUE(loaded.ok());
     EXPECT_TRUE(loaded->Equals(sig));
   }
-  // Once another cell's partial follows it, a larger version must move.
+  // Once another cell's partial follows it, a larger version must move,
+  // and takes kGrowthRoom along.
   Signature other = RandomSignature(5, 3, 20, 45);
   ASSERT_TRUE(store->Put(10, other).ok());
   const uint32_t tail = store->append_offset();
-  add_paths(&sig);
+  AddRandomPaths(&sig, 5, 8, &rng);
   ASSERT_TRUE(store->Put(9, sig).ok());
-  EXPECT_EQ(store->append_offset(), tail + only_partial_size(sig));
+  EXPECT_EQ(store->append_offset(),
+            tail + OnlyPartialSize(sig) + SignatureStore::kGrowthRoom);
   for (auto [cell, want] : {std::pair{9, &sig}, std::pair{10, &other}}) {
     auto loaded = store->LoadFull(cell, 5, 3);
     ASSERT_TRUE(loaded.ok());
     EXPECT_TRUE(loaded->Equals(*want)) << "cell " << cell;
   }
+}
+
+TEST_F(SignatureStoreTest, OutgrownMidPagePartialMovesOnceThenGrowsInPlace) {
+  auto store = SignatureStore::Create(&pool_);
+  ASSERT_TRUE(store.ok());
+  constexpr uint32_t kM = 16;  // ~5 B per node: room for a dozen new nodes
+  Random rng(48);
+  Signature sig = RandomSignature(kM, 3, 10, 49);
+  ASSERT_TRUE(store->Put(1, sig).ok());
+  // Cells 2, 3, ... are appended as we go, so cell 1's partial never ends
+  // its page's blobs: only its growth room lets it grow in place.
+  std::vector<Signature> others;
+  auto put_other = [&] {
+    others.push_back(RandomSignature(kM, 3, 5, 100 + others.size()));
+    return store->Put(2 + others.size() - 1, others.back());
+  };
+  auto expect_all_exact = [&](const char* when) {
+    auto loaded = store->LoadFull(1, kM, 3);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_TRUE(loaded->Equals(sig)) << when;
+    for (size_t i = 0; i < others.size(); ++i) {
+      auto other = store->LoadFull(2 + i, kM, 3);
+      ASSERT_TRUE(other.ok());
+      EXPECT_TRUE(other->Equals(others[i])) << when << ", cell " << 2 + i;
+    }
+  };
+  ASSERT_TRUE(put_other().ok());
+
+  // First growth past the built slot: one move, room reserved after it.
+  const size_t built = OnlyPartialSize(sig);
+  for (int i = 0; i < 50 && OnlyPartialSize(sig) <= built; ++i) {
+    AddRandomPaths(&sig, kM, 1, &rng);
+  }
+  const size_t moved = OnlyPartialSize(sig);
+  ASSERT_GT(moved, built);
+  uint32_t before = store->append_offset();
+  ASSERT_TRUE(store->Put(1, sig).ok());
+  EXPECT_EQ(store->append_offset(),
+            before + moved + SignatureStore::kGrowthRoom);
+  expect_all_exact("after the move");
+
+  // Every later version that fits the room is written in place, while
+  // other cells' partials keep following it.
+  int grown_in_place = 0;
+  bool outgrown = false;
+  for (int i = 0; i < 100 && !outgrown; ++i) {
+    const size_t previous = OnlyPartialSize(sig);
+    AddRandomPaths(&sig, kM, 1, &rng);
+    outgrown = OnlyPartialSize(sig) > moved + SignatureStore::kGrowthRoom;
+    if (outgrown) break;
+    if (OnlyPartialSize(sig) > previous) ++grown_in_place;
+    ASSERT_TRUE(put_other().ok());
+    before = store->append_offset();
+    ASSERT_TRUE(store->Put(1, sig).ok());
+    EXPECT_EQ(store->append_offset(), before) << "moved again";
+    expect_all_exact("after an in-place growth");
+  }
+  ASSERT_TRUE(outgrown);
+  EXPECT_GE(grown_in_place, 3);
+
+  // Past its room it moves again, with fresh room.
+  before = store->append_offset();
+  ASSERT_TRUE(store->Put(1, sig).ok());
+  EXPECT_EQ(store->append_offset(),
+            before + OnlyPartialSize(sig) + SignatureStore::kGrowthRoom);
+  expect_all_exact("after the second move");
+}
+
+TEST_F(SignatureStoreTest, ShrunkPartialRegrowsIntoItsOwnBytes) {
+  auto store = SignatureStore::Create(&pool_);
+  ASSERT_TRUE(store.ok());
+  Random rng(52);
+  std::vector<Path> paths(20, Path(3));
+  Signature sig(5, 3);
+  for (Path& p : paths) {
+    for (auto& slot : p) slot = static_cast<uint16_t>(1 + rng.Uniform(5));
+    sig.SetPath(p);
+  }
+  ASSERT_TRUE(store->Put(1, sig).ok());
+  Signature other = RandomSignature(5, 3, 20, 54);
+  ASSERT_TRUE(store->Put(2, other).ok());  // cell 1's slot is mid-page
+  const size_t built = OnlyPartialSize(sig);
+  const uint32_t tail = store->append_offset();
+
+  // Drop tuples until the partial is smaller, then grow it back: every
+  // version up to the built size fits the slot's own bytes.
+  Signature shrunk = sig.Clone();
+  for (const Path& p : paths) {
+    shrunk.ClearPath(p);
+    if (OnlyPartialSize(shrunk) < built) break;
+  }
+  ASSERT_LT(OnlyPartialSize(shrunk), built);
+  for (const Signature* version : {&shrunk, &sig}) {
+    ASSERT_TRUE(store->Put(1, *version).ok());
+    EXPECT_EQ(store->append_offset(), tail) << "moved";
+    auto loaded = store->LoadFull(1, 5, 3);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_TRUE(loaded->Equals(*version));
+  }
+  auto loaded = store->LoadFull(2, 5, 3);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded->Equals(other));
 }
 
 TEST_F(SignatureStoreTest, ManyCellsCoexist) {
@@ -215,6 +324,44 @@ TEST_F(SignatureStoreTest, CursorPageLoadsChargeSignatureCategory) {
   ASSERT_TRUE(cursor.Test({1, 1, 1}).ok());
   EXPECT_EQ(stats_.ReadCount(IoCategory::kSignature), cursor.partials_loaded());
   EXPECT_GT(stats_.ReadCount(IoCategory::kBtree), 0u);  // directory lookups
+}
+
+TEST_F(SignatureStoreTest, BloomRewriteReusesPagesAndReadsOnlyItsOwn) {
+  BloomStore bloom(&pool_);
+  Signature small = RandomSignature(40, 3, 100, 50);
+  Signature big = RandomSignature(40, 3, 6000, 51);
+  auto pages_read = [&](const Signature& sig) {
+    uint64_t read = 0;
+    auto filter = bloom.Load(7, &read);
+    EXPECT_TRUE(filter.ok());
+    if (!filter.ok()) return read;
+    for (const auto& [sid, bits] : sig.nodes()) {  // no false negative
+      for (size_t bit = bits.FindNextSet(0); bit < bits.size();
+           bit = bits.FindNextSet(bit + 1)) {
+        EXPECT_TRUE(filter->MayContain(sid * 41 + bit + 1)) << sid;
+      }
+    }
+    return read;
+  };
+  // Rewrites of an equally sized filter stay on the cell's page.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(bloom.Put(7, small, 10.0).ok());
+    EXPECT_EQ(bloom.num_pages(), 1u);
+    EXPECT_EQ(pages_read(small), 1u);
+  }
+  // A larger filter adds only the pages it lacks...
+  ASSERT_TRUE(bloom.Put(7, big, 10.0).ok());
+  const uint64_t big_pages = bloom.num_pages();
+  EXPECT_GT(big_pages, 1u);
+  EXPECT_EQ(pages_read(big), big_pages);
+  // ... a smaller one keeps them as spares and reads only its own ...
+  ASSERT_TRUE(bloom.Put(7, small, 10.0).ok());
+  EXPECT_EQ(bloom.num_pages(), big_pages);
+  EXPECT_EQ(pages_read(small), 1u);
+  // ... which the next larger filter reuses.
+  ASSERT_TRUE(bloom.Put(7, big, 10.0).ok());
+  EXPECT_EQ(bloom.num_pages(), big_pages);
+  EXPECT_EQ(pages_read(big), big_pages);
 }
 
 }  // namespace

@@ -30,19 +30,18 @@ Signature Table1CellSignature(int dim, uint32_t value) {
 
 TEST(SignatureTest, Fig2WorkedExample) {
   // Cell A = a1 holds t1 <1,1,1> and t3 <1,2,1>. Fig. 2a shows the bit
-  // arrays: root "10", N1 "11", N3 "10", N4 "10"; no arrays under N2.
+  // arrays: root "10", N1 "11", N3 "10", N4 "10"; no arrays under N2. With
+  // M = 2 the SIDs are root 0, N1 <1> 1, N2 <2> 2, N3 <1,1> 4, N4 <1,2> 5.
   Signature sig = Table1CellSignature(kTable1DimA, 0);
-  EXPECT_EQ(sig.root().bits.ToString(), "10");
-  const SignatureNode* n1 = sig.FindNode({1});
-  ASSERT_NE(n1, nullptr);
-  EXPECT_EQ(n1->bits.ToString(), "11");
-  const SignatureNode* n3 = sig.FindNode({1, 1});
-  ASSERT_NE(n3, nullptr);
-  EXPECT_EQ(n3->bits.ToString(), "10");
-  const SignatureNode* n4 = sig.FindNode({1, 2});
-  ASSERT_NE(n4, nullptr);
-  EXPECT_EQ(n4->bits.ToString(), "10");
-  EXPECT_EQ(sig.FindNode({2}), nullptr);
+  EXPECT_EQ(sig.CountNodes(), 4u);
+  const std::map<uint64_t, std::string> fig2a = {
+      {0, "10"}, {1, "11"}, {4, "10"}, {5, "10"}};
+  for (const auto& [sid, bits] : fig2a) {
+    const BitVector* node = sig.Node(sid);
+    ASSERT_NE(node, nullptr) << "SID " << sid;
+    EXPECT_EQ(node->ToString(), bits) << "SID " << sid;
+  }
+  EXPECT_EQ(sig.Node(2), nullptr);
 
   // Test() on every node and tuple path.
   EXPECT_TRUE(sig.Test({1}));
@@ -77,7 +76,7 @@ TEST(SignatureTest, ClearPathInvertsSetPath) {
   sig.ClearPath({1, 2, 1});
   EXPECT_FALSE(sig.Test({1, 2}));
   EXPECT_FALSE(sig.Test({1}));
-  EXPECT_EQ(sig.FindNode({1}), nullptr);
+  EXPECT_EQ(sig.Node(PathToSid({1}, 3)), nullptr);
   EXPECT_TRUE(sig.Test({2, 1, 1}));
   sig.ClearPath({2, 1, 1});
   EXPECT_TRUE(sig.Empty());
