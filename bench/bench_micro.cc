@@ -1,17 +1,14 @@
 // Micro-benchmarks for the P-Cube building blocks: bitmap codecs, signature
-// probing, B+-tree operations, R-tree node access, and the SIMD kernel
-// layer of DESIGN.md §12 (intersect / union / cardinality / dominance,
-// scalar vs vector, several densities). These quantify the constants behind
-// the figure-level results (e.g. why Csig << CR-tree).
+// probing, B+-tree operations, R-tree node access, and the skyline engine's
+// dominance kernel (DESIGN.md §12, scalar vs AVX2). These quantify the
+// constants behind the figure-level results (e.g. why Csig << CR-tree).
 //
 // Smoke mode: PCUBE_SIMD_SMOKE=1 skips the google-benchmark harness and
-// instead times the kernel pairs directly (best-of-N so the measurement
-// survives a noisy single-core CI box), writes BENCH_simd.json to the
-// working directory, and — when the active dispatch level is AVX2 — exits
-// non-zero unless verbatim intersection beats scalar by >= 2x and batched
-// dominance by >= 1.5x. On scalar-only machines (or PCUBE_SIMD_LEVEL=scalar
-// / -DPCUBE_SIMD=OFF builds) the speedups are report-only. scripts/ci.sh
-// runs this as the `simd` phase.
+// instead times the two dominance kernels directly (best-of-N so the
+// measurement survives a noisy single-core CI box), writes BENCH_simd.json
+// to the working directory, and — on a CPU with AVX2 — exits non-zero
+// unless the AVX2 kernel beats the scalar one by >= 1.5x. Without AVX2 the
+// smoke only reports. scripts/ci.sh runs this as the `simd` phase.
 #include "bench_common.h"
 
 #include <algorithm>
@@ -20,9 +17,6 @@
 #include <limits>
 
 #include "bitmap/codec.h"
-#include "common/simd/aligned.h"
-#include "common/simd/simd.h"
-#include "common/simd/word_kernels.h"
 #include "core/signature_cursor.h"
 #include "query/dominance_kernels.h"
 
@@ -134,143 +128,17 @@ void BM_SkylineQueryEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_SkylineQueryEndToEnd)->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------------------------ SIMD kernels
-
-simd::AlignedVector<uint64_t> RandomKernelWords(Random* rng, size_t n,
-                                                int density_pct) {
-  simd::AlignedVector<uint64_t> w(n);
-  for (auto& x : w) {
-    uint64_t v = 0;
-    for (int bit = 0; bit < 64; ++bit) {
-      if (rng->Uniform(100) < static_cast<uint64_t>(density_pct)) {
-        v |= uint64_t{1} << bit;
-      }
-    }
-    x = v;
-  }
-  return w;
-}
-
-// range(0) = words, range(1) = 0 scalar / 1 vector.
-void BM_KernelIntersect(benchmark::State& state) {
-  bool vec = state.range(1) != 0;
-#if defined(PCUBE_SIMD_HAVE_AVX2)
-  if (vec && !simd::CpuSupportsAvx2()) {
-    state.SkipWithError("no AVX2 on this CPU");
-    return;
-  }
-#else
-  if (vec) {
-    state.SkipWithError("SIMD compiled out");
-    return;
-  }
-#endif
-  Random rng(17);
-  size_t n = static_cast<size_t>(state.range(0));
-  auto a = RandomKernelWords(&rng, n, 50);
-  auto b = RandomKernelWords(&rng, n, 50);
-  simd::AlignedVector<uint64_t> dst(n);
-  for (auto _ : state) {
-    bool any;
-#if defined(PCUBE_SIMD_HAVE_AVX2)
-    if (vec) {
-      any = simd::AndWordsAvx2(dst.data(), a.data(), b.data(), n);
-    } else {
-      any = simd::AndWordsScalar(dst.data(), a.data(), b.data(), n);
-    }
-#else
-    any = simd::AndWordsScalar(dst.data(), a.data(), b.data(), n);
-#endif
-    benchmark::DoNotOptimize(any);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * 8 * 2);
-}
-BENCHMARK(BM_KernelIntersect)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1});
-
-void BM_KernelUnion(benchmark::State& state) {
-  bool vec = state.range(1) != 0;
-#if defined(PCUBE_SIMD_HAVE_AVX2)
-  if (vec && !simd::CpuSupportsAvx2()) {
-    state.SkipWithError("no AVX2 on this CPU");
-    return;
-  }
-#else
-  if (vec) {
-    state.SkipWithError("SIMD compiled out");
-    return;
-  }
-#endif
-  Random rng(18);
-  size_t n = static_cast<size_t>(state.range(0));
-  auto a = RandomKernelWords(&rng, n, 5);
-  auto b = RandomKernelWords(&rng, n, 5);
-  simd::AlignedVector<uint64_t> dst(n);
-  for (auto _ : state) {
-#if defined(PCUBE_SIMD_HAVE_AVX2)
-    if (vec) {
-      simd::OrWordsAvx2(dst.data(), a.data(), b.data(), n);
-    } else {
-      simd::OrWordsScalar(dst.data(), a.data(), b.data(), n);
-    }
-#else
-    simd::OrWordsScalar(dst.data(), a.data(), b.data(), n);
-#endif
-    benchmark::DoNotOptimize(dst.data());
-  }
-}
-BENCHMARK(BM_KernelUnion)->Args({1024, 0})->Args({1024, 1});
-
-void BM_KernelCardinality(benchmark::State& state) {
-  bool vec = state.range(1) != 0;
-#if defined(PCUBE_SIMD_HAVE_AVX2)
-  if (vec && !simd::CpuSupportsAvx2()) {
-    state.SkipWithError("no AVX2 on this CPU");
-    return;
-  }
-#else
-  if (vec) {
-    state.SkipWithError("SIMD compiled out");
-    return;
-  }
-#endif
-  Random rng(19);
-  size_t n = static_cast<size_t>(state.range(0));
-  auto a = RandomKernelWords(&rng, n, 50);
-  for (auto _ : state) {
-    uint64_t c;
-#if defined(PCUBE_SIMD_HAVE_AVX2)
-    c = vec ? simd::PopcountWordsAvx2(a.data(), n)
-            : simd::PopcountWordsScalar(a.data(), n);
-#else
-    c = simd::PopcountWordsScalar(a.data(), n);
-#endif
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_KernelCardinality)->Args({1024, 0})->Args({1024, 1});
+// ------------------------------------------------------- dominance kernel
 
 // range(0) = skyline members, range(1) = 0 scalar / 1 vector. Candidate is
 // dominated by every member and the limit is never reached, so both paths
 // do the full streaming pass (worst case, no early exit).
 void BM_KernelDominance(benchmark::State& state) {
   bool vec = state.range(1) != 0;
-#if defined(PCUBE_SIMD_HAVE_AVX2)
-  if (vec && !simd::CpuSupportsAvx2()) {
+  if (vec && !DominanceWindow::CpuHasAvx2()) {
     state.SkipWithError("no AVX2 on this CPU");
     return;
   }
-#else
-  if (vec) {
-    state.SkipWithError("SIMD compiled out");
-    return;
-  }
-#endif
   Random rng(20);
   const size_t dims = 4;
   size_t members = static_cast<size_t>(state.range(0));
@@ -283,7 +151,7 @@ void BM_KernelDominance(benchmark::State& state) {
   double cand[dims] = {2.0, 2.0, 2.0, 2.0};
   for (auto _ : state) {
     size_t c;
-#if defined(PCUBE_SIMD_HAVE_AVX2)
+#if defined(__x86_64__)
     c = vec ? window.CountDominatorsAvx2(cand, members + 1)
             : window.CountDominatorsScalar(cand, members + 1);
 #else
@@ -315,14 +183,9 @@ double BestSecondsPerCall(int reps, int iters, Body body) {
 int RunSimdSmoke() {
   const int kReps = 9;
   const int kIters = 4000;
-  const size_t kWords = 1024;  // 64 Kbit: L1-resident, past all tail paths
-  Random rng(29);
-  auto a = RandomKernelWords(&rng, kWords, 50);
-  auto b = RandomKernelWords(&rng, kWords, 50);
-  simd::AlignedVector<uint64_t> dst(kWords);
-
   const size_t kMembers = 512;
   const size_t kDims = 4;
+  Random rng(29);
   DominanceWindow window(kDims);
   double coords[kDims];
   for (size_t i = 0; i < kMembers; ++i) {
@@ -331,97 +194,44 @@ int RunSimdSmoke() {
   }
   double cand[kDims] = {2.0, 2.0, 2.0, 2.0};
 
-  double intersect_scalar = BestSecondsPerCall(kReps, kIters, [&] {
-    benchmark::DoNotOptimize(
-        simd::AndWordsScalar(dst.data(), a.data(), b.data(), kWords));
-  });
-  double union_scalar = BestSecondsPerCall(kReps, kIters, [&] {
-    simd::OrWordsScalar(dst.data(), a.data(), b.data(), kWords);
-    benchmark::DoNotOptimize(dst.data());
-  });
-  double card_scalar = BestSecondsPerCall(kReps, kIters, [&] {
-    benchmark::DoNotOptimize(simd::PopcountWordsScalar(a.data(), kWords));
-  });
   double dom_scalar = BestSecondsPerCall(kReps, kIters, [&] {
     benchmark::DoNotOptimize(
         window.CountDominatorsScalar(cand, kMembers + 1));
   });
-
-  double intersect_vec = intersect_scalar;
-  double union_vec = union_scalar;
-  double card_vec = card_scalar;
   double dom_vec = dom_scalar;
-  bool have_avx2 = false;
-#if defined(PCUBE_SIMD_HAVE_AVX2)
-  have_avx2 = simd::CpuSupportsAvx2();
+  const bool have_avx2 = DominanceWindow::CpuHasAvx2();
+#if defined(__x86_64__)
   if (have_avx2) {
-    intersect_vec = BestSecondsPerCall(kReps, kIters, [&] {
-      benchmark::DoNotOptimize(
-          simd::AndWordsAvx2(dst.data(), a.data(), b.data(), kWords));
-    });
-    union_vec = BestSecondsPerCall(kReps, kIters, [&] {
-      simd::OrWordsAvx2(dst.data(), a.data(), b.data(), kWords);
-      benchmark::DoNotOptimize(dst.data());
-    });
-    card_vec = BestSecondsPerCall(kReps, kIters, [&] {
-      benchmark::DoNotOptimize(simd::PopcountWordsAvx2(a.data(), kWords));
-    });
     dom_vec = BestSecondsPerCall(kReps, kIters, [&] {
       benchmark::DoNotOptimize(
           window.CountDominatorsAvx2(cand, kMembers + 1));
     });
   }
 #endif
-
-  double intersect_speedup = intersect_scalar / intersect_vec;
-  double union_speedup = union_scalar / union_vec;
-  double card_speedup = card_scalar / card_vec;
   double dom_speedup = dom_scalar / dom_vec;
-  const char* level = simd::SimdLevelName(simd::ActiveSimdLevel());
 
-  std::printf("simd smoke: level=%s cpu_avx2=%d\n", level, have_avx2 ? 1 : 0);
-  std::printf("  intersect   scalar %8.1f ns  vector %8.1f ns  %.2fx\n",
-              intersect_scalar * 1e9, intersect_vec * 1e9, intersect_speedup);
-  std::printf("  union       scalar %8.1f ns  vector %8.1f ns  %.2fx\n",
-              union_scalar * 1e9, union_vec * 1e9, union_speedup);
-  std::printf("  cardinality scalar %8.1f ns  vector %8.1f ns  %.2fx\n",
-              card_scalar * 1e9, card_vec * 1e9, card_speedup);
+  std::printf("simd smoke: cpu_avx2=%d\n", have_avx2 ? 1 : 0);
   std::printf("  dominance   scalar %8.1f ns  vector %8.1f ns  %.2fx\n",
               dom_scalar * 1e9, dom_vec * 1e9, dom_speedup);
 
   {
     std::ofstream json("BENCH_simd.json");
     json << "{\n"
-         << "  \"simd_level\": \"" << level << "\",\n"
          << "  \"cpu_avx2\": " << (have_avx2 ? "true" : "false") << ",\n"
-         << "  \"words\": " << kWords << ",\n"
          << "  \"dominance_members\": " << kMembers << ",\n"
-         << "  \"intersect_scalar_ns\": " << intersect_scalar * 1e9 << ",\n"
-         << "  \"intersect_vector_ns\": " << intersect_vec * 1e9 << ",\n"
-         << "  \"intersect_speedup\": " << intersect_speedup << ",\n"
-         << "  \"union_speedup\": " << union_speedup << ",\n"
-         << "  \"cardinality_speedup\": " << card_speedup << ",\n"
          << "  \"dominance_scalar_ns\": " << dom_scalar * 1e9 << ",\n"
          << "  \"dominance_vector_ns\": " << dom_vec * 1e9 << ",\n"
          << "  \"dominance_speedup\": " << dom_speedup << "\n"
          << "}\n";
   }
 
-  // Gate only when the AVX2 kernels are actually dispatched: a scalar-only
-  // machine (or a clamped / SIMD-off build) reports but cannot regress.
-  if (simd::ActiveSimdLevel() == simd::SimdLevel::kAvx2) {
-    if (intersect_speedup < 2.0) {
-      std::fprintf(stderr,
-                   "simd smoke: verbatim intersect speedup %.2fx < 2.0x\n",
-                   intersect_speedup);
-      return 1;
-    }
-    if (dom_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "simd smoke: batched dominance speedup %.2fx < 1.5x\n",
-                   dom_speedup);
-      return 1;
-    }
+  // Gate only where the engine runs the AVX2 kernel: a CPU without AVX2
+  // reports but cannot regress.
+  if (have_avx2 && dom_speedup < 1.5) {
+    std::fprintf(stderr,
+                 "simd smoke: batched dominance speedup %.2fx < 1.5x\n",
+                 dom_speedup);
+    return 1;
   }
   std::printf("simd smoke: ok\n");
   return 0;

@@ -1,6 +1,6 @@
 #include "bitmap/bitvector.h"
 
-#include "common/simd/word_kernels.h"
+#include <bit>
 
 namespace pcube {
 
@@ -22,35 +22,31 @@ size_t BitVector::FindNextSet(size_t from) const {
 }
 
 size_t BitVector::Count() const {
-  return simd::PopcountWords(words_.data(), words_.size());
+  size_t c = 0;
+  for (uint64_t w : words_) c += static_cast<size_t>(std::popcount(w));
+  return c;
 }
 
 bool BitVector::AnySet() const {
-  return simd::AnyWords(words_.data(), words_.size());
+  for (uint64_t w : words_) {
+    if (w != 0) return true;
+  }
+  return false;
 }
 
 bool BitVector::InplaceAnd(const BitVector& other) {
   PCUBE_CHECK_EQ(num_bits_, other.num_bits_);
-  return simd::AndWords(words_.data(), words_.data(), other.words_.data(),
-                        words_.size());
+  uint64_t any = 0;
+  for (size_t i = 0; i < words_.size(); ++i) {
+    words_[i] &= other.words_[i];
+    any |= words_[i];
+  }
+  return any != 0;
 }
 
 void BitVector::InplaceOr(const BitVector& other) {
   PCUBE_CHECK_EQ(num_bits_, other.num_bits_);
-  simd::OrWords(words_.data(), words_.data(), other.words_.data(),
-                words_.size());
-}
-
-void BitVector::InplaceAndNot(const BitVector& other) {
-  PCUBE_CHECK_EQ(num_bits_, other.num_bits_);
-  simd::AndNotWords(words_.data(), words_.data(), other.words_.data(),
-                    words_.size());
-}
-
-size_t BitVector::AndCount(const BitVector& other) const {
-  PCUBE_CHECK_EQ(num_bits_, other.num_bits_);
-  return simd::AndPopcountWords(words_.data(), other.words_.data(),
-                                words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
 }
 
 std::vector<uint32_t> BitVector::SetPositions() const {

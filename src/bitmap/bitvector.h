@@ -1,11 +1,8 @@
 // Dynamic fixed-length bit vector. This is the in-memory form of one
 // signature node's bit array (one bit per R-tree child slot); the codecs in
-// bitmap/codec.h compress it for storage inside partial signatures.
-//
-// Storage is 32-byte aligned (common/simd/aligned.h) and the bulk algebra
-// (And/Or/AndNot/Count) dispatches to the kernel layer of DESIGN.md §12, so
-// every vector — signature nodes, cache blocks, codec scratch — is a legal
-// SIMD operand without copies.
+// bitmap/codec.h compress it for storage inside partial signatures. A node
+// is M bits (M = 127 at Dp = 3), two or three words, so the bulk algebra is
+// a plain loop over the words.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +12,6 @@
 
 #include "common/bit_util.h"
 #include "common/logging.h"
-#include "common/simd/aligned.h"
 
 namespace pcube {
 
@@ -62,7 +58,7 @@ class BitVector {
     }
   }
 
-  /// Number of set bits (hardware popcount via the kernel layer).
+  /// Number of set bits.
   size_t Count() const;
 
   bool AnySet() const;
@@ -75,17 +71,12 @@ class BitVector {
   /// intersection's liveness check costs no second pass).
   bool InplaceAnd(const BitVector& other);
   void InplaceOr(const BitVector& other);
-  /// this &= ~other.
-  void InplaceAndNot(const BitVector& other);
-
-  /// |this & other| without materialising the intersection.
-  size_t AndCount(const BitVector& other) const;
 
   bool operator==(const BitVector& other) const {
     return num_bits_ == other.num_bits_ && words_ == other.words_;
   }
 
-  const simd::AlignedVector<uint64_t>& words() const { return words_; }
+  const std::vector<uint64_t>& words() const { return words_; }
 
   /// Mutable backing words, for codec fast paths that assemble the vector
   /// word-at-a-time. Callers must keep the pad bits of the last word zero.
@@ -99,7 +90,7 @@ class BitVector {
 
  private:
   size_t num_bits_ = 0;
-  simd::AlignedVector<uint64_t> words_;
+  std::vector<uint64_t> words_;
 };
 
 }  // namespace pcube

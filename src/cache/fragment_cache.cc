@@ -1,18 +1,10 @@
 #include "cache/fragment_cache.h"
 
-#include <algorithm>
-
 #include "common/bit_util.h"
 
 namespace pcube {
 
 namespace {
-/// Words one node occupies in the packed block: its payload rounded up to a
-/// 4-word (32-byte) boundary so the next node's slice is aligned too.
-size_t PaddedWords(size_t num_bits) {
-  return (bit_util::Words64(num_bits) + 3) & ~size_t{3};
-}
-
 size_t FragmentCharge(const CachedFragment& f) {
   return 96 + f.words.capacity() * sizeof(uint64_t) +
          f.nodes.capacity() * sizeof(CachedFragment::NodeRef);
@@ -73,20 +65,16 @@ void FragmentCache::Insert(CellId cell, uint64_t sid, bool present,
   entry->present = present;
   entry->epoch = epoch;
   size_t total_words = 0;
-  for (const auto& [sid, bits] : nodes) {
-    total_words += PaddedWords(bits.size());
-  }
-  entry->words.resize(total_words);  // value-init: padding words stay zero
+  for (const auto& [sid, bits] : nodes) total_words += bits.words().size();
+  entry->words.reserve(total_words);
   entry->nodes.reserve(nodes.size());
-  size_t offset = 0;
   for (const auto& [sid, bits] : nodes) {
     CachedFragment::NodeRef ref;
     ref.sid = sid;
-    ref.word_offset = static_cast<uint32_t>(offset);
+    ref.word_offset = static_cast<uint32_t>(entry->words.size());
     ref.num_bits = static_cast<uint32_t>(bits.size());
-    std::copy_n(bits.words().data(), bits.words().size(),
-                entry->words.data() + offset);
-    offset += PaddedWords(bits.size());
+    entry->words.insert(entry->words.end(), bits.words().begin(),
+                        bits.words().end());
     entry->nodes.push_back(std::move(ref));
   }
   entry->charge = FragmentCharge(*entry);

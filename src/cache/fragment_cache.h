@@ -24,35 +24,31 @@
 #include "cache/slru.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
-#include "common/simd/aligned.h"
 
 namespace pcube {
 
 /// One cached decode: the nodes this partial contributed to a cursor,
 /// in the order the codec produced them, with every node's bit words packed
-/// into one contiguous 32-byte-aligned block (DESIGN.md §12). Each node's
-/// slice starts on a 4-word (32-byte) boundary, so replaying a hit hands
-/// the kernel layer aligned operands from one allocation instead of one
-/// heap vector per node. `present == false` caches a NotFound (the block is
-/// then empty).
+/// back to back into one block, so an entry is one allocation instead of
+/// one heap vector per node. `present == false` caches a NotFound (the
+/// block is then empty).
 struct CachedFragment {
   /// Locates one node's bits inside `words`.
   struct NodeRef {
     uint64_t sid = 0;          ///< the node's SID (rtree/path.h)
-    uint32_t word_offset = 0;  ///< into `words`; always a multiple of 4
+    uint32_t word_offset = 0;  ///< into `words`
     uint32_t num_bits = 0;
   };
 
   bool present = false;
   std::vector<NodeRef> nodes;
-  simd::AlignedVector<uint64_t> words;  ///< packed node payloads
+  std::vector<uint64_t> words;  ///< packed node payloads
   uint64_t epoch = 0;  ///< DataEpoch::OfCell at fill time
   size_t charge = 0;   ///< approximate bytes, for the SLRU budget
 
   size_t num_nodes() const { return nodes.size(); }
   uint64_t sid(size_t i) const { return nodes[i].sid; }
-  /// The packed words of node i (exactly Words64(num_bits) of them; the
-  /// alignment padding after them is not part of the vector).
+  /// The packed words of node i (exactly Words64(num_bits) of them).
   std::span<const uint64_t> node_words(size_t i) const;
   /// Materialises node i as a standalone BitVector (copies the slice).
   BitVector NodeBits(size_t i) const;

@@ -4,29 +4,31 @@
 #include <bit>
 
 #include "common/logging.h"
-#include "common/metrics.h"
-#include "common/simd/simd.h"
 
-#if defined(__x86_64__) && !defined(PCUBE_SIMD_DISABLED)
-#define PCUBE_DOMINANCE_HAVE_AVX2 1
+#if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
 namespace pcube {
 
+bool DominanceWindow::CpuHasAvx2() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("avx2") > 0;
+#else
+  return false;
+#endif
+}
+
 void DominanceWindow::Reset(size_t dims) {
   dims_ = dims;
   size_ = 0;
   capacity_ = 0;
+  avx2_ = CpuHasAvx2();
   cols_.clear();
 }
 
 void DominanceWindow::Grow(size_t new_capacity) {
-  // Capacity stays a multiple of four so every column begins 32B-aligned
-  // (column d starts at d * capacity_ doubles) and full blocks use aligned
-  // loads.
-  new_capacity = (new_capacity + 3) & ~size_t{3};
-  simd::AlignedVector<double> next(dims_ * new_capacity);
+  std::vector<double> next(dims_ * new_capacity);
   for (size_t d = 0; d < dims_; ++d) {
     std::copy_n(cols_.data() + d * capacity_, size_,
                 next.data() + d * new_capacity);
@@ -41,10 +43,9 @@ void DominanceWindow::Append(const double* coords) {
   ++size_;
 }
 
-size_t DominanceWindow::CountDominatorsScalar(const double* cand,
-                                              size_t limit) const {
-  size_t count = 0;
-  for (size_t i = 0; i < size_; ++i) {
+size_t DominanceWindow::CountFrom(size_t begin, size_t count,
+                                  const double* cand, size_t limit) const {
+  for (size_t i = begin; i < size_; ++i) {
     bool all_le = true;
     bool one_lt = false;
     for (size_t d = 0; d < dims_; ++d) {
@@ -60,7 +61,12 @@ size_t DominanceWindow::CountDominatorsScalar(const double* cand,
   return count;
 }
 
-#if defined(PCUBE_DOMINANCE_HAVE_AVX2)
+size_t DominanceWindow::CountDominatorsScalar(const double* cand,
+                                              size_t limit) const {
+  return CountFrom(0, 0, cand, limit);
+}
+
+#if defined(__x86_64__)
 
 __attribute__((target("avx2"))) size_t DominanceWindow::CountDominatorsAvx2(
     const double* cand, size_t limit) const {
@@ -70,7 +76,7 @@ __attribute__((target("avx2"))) size_t DominanceWindow::CountDominatorsAvx2(
     __m256d all_le = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
     __m256d any_lt = _mm256_setzero_pd();
     for (size_t d = 0; d < dims_; ++d) {
-      __m256d m = _mm256_load_pd(Col(d) + i);
+      __m256d m = _mm256_loadu_pd(Col(d) + i);
       __m256d c = _mm256_set1_pd(cand[d]);
       all_le = _mm256_and_pd(all_le, _mm256_cmp_pd(m, c, _CMP_LE_OQ));
       if (_mm256_movemask_pd(all_le) == 0) break;  // no lane can dominate
@@ -80,34 +86,16 @@ __attribute__((target("avx2"))) size_t DominanceWindow::CountDominatorsAvx2(
     count += static_cast<size_t>(std::popcount(static_cast<unsigned>(dom)));
     if (count >= limit) return limit;
   }
-  for (; i < size_; ++i) {
-    bool all_le = true;
-    bool one_lt = false;
-    for (size_t d = 0; d < dims_; ++d) {
-      double m = Col(d)[i];
-      if (m > cand[d]) {
-        all_le = false;
-        break;
-      }
-      if (m < cand[d]) one_lt = true;
-    }
-    if (all_le && one_lt && ++count >= limit) return count;
-  }
-  return count;
+  return CountFrom(i, count, cand, limit);
 }
 
-#endif  // PCUBE_DOMINANCE_HAVE_AVX2
+#endif  // __x86_64__
 
 size_t DominanceWindow::CountDominators(const double* cand,
                                         size_t limit) const {
   PCUBE_DCHECK_GE(limit, size_t{1});
-  static Counter* calls = MetricsRegistry::Default().GetCounter(
-      "pcube_simd_kernel_calls_total{kernel=\"dominance_batch\"}");
-  calls->Increment();
-#if defined(PCUBE_DOMINANCE_HAVE_AVX2)
-  if (simd::ActiveSimdLevel() == simd::SimdLevel::kAvx2) {
-    return CountDominatorsAvx2(cand, limit);
-  }
+#if defined(__x86_64__)
+  if (avx2_) return CountDominatorsAvx2(cand, limit);
 #endif
   return CountDominatorsScalar(cand, limit);
 }

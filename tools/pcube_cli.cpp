@@ -100,7 +100,6 @@
 #include <thread>
 
 #include "common/random.h"
-#include "common/simd/simd.h"
 #include "common/timer.h"
 #include "data/csv.h"
 #include "data/generators.h"
@@ -503,8 +502,6 @@ int CmdExplain(const Args& args) {
   std::printf("  chosen plan:               %s\n",
               est->choice == PlanChoice::kSignature ? "signature (P-Cube)"
                                                     : "boolean-first");
-  std::printf("  simd kernels:              %s\n",
-              simd::SimdLevelName(simd::ActiveSimdLevel()));
   return 0;
 }
 
