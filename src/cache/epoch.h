@@ -36,22 +36,16 @@ class DataEpoch {
     return e > floor ? e : floor;
   }
 
-  /// Dataset-wide epoch: bumped by every mutation anywhere. Entries for
-  /// predicate-free queries (no cells to stamp) validate against this.
+  /// Dataset-wide epoch: bumped by every mutation anywhere — every insert
+  /// or delete may reshape the R-tree. Entries for predicate-free queries
+  /// (no cells to stamp) validate against this, and so does cached engine
+  /// state, whose node paths and MBRs are only reusable while it holds.
   uint64_t global() const { return global_.load(std::memory_order_acquire); }
 
-  /// Structural epoch: bumped whenever the R-tree shape may have changed
-  /// (any insert/delete — node paths and MBRs in cached engine state are
-  /// only reusable while this is unchanged).
-  uint64_t structure() const {
-    return structure_.load(std::memory_order_acquire);
-  }
-
   /// Records a mutation touching `cells`: all of them move to a fresh
-  /// dataset epoch, and the structural epoch advances.
+  /// dataset epoch.
   void BumpCells(const std::vector<CellId>& cells) {
     uint64_t e = global_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    structure_.fetch_add(1, std::memory_order_acq_rel);
     for (CellId cell : cells) {
       Shard& s = shards_[ShardOf(cell)];
       MutexLock lock(&s.mu);
@@ -64,7 +58,6 @@ class DataEpoch {
   /// load): every cell's epoch advances at once via the floor.
   void BumpAll() {
     uint64_t e = global_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    structure_.fetch_add(1, std::memory_order_acq_rel);
     uint64_t f = floor_.load(std::memory_order_relaxed);
     while (f < e &&
            !floor_.compare_exchange_weak(f, e, std::memory_order_acq_rel)) {
@@ -85,7 +78,6 @@ class DataEpoch {
   };
 
   std::atomic<uint64_t> global_{0};
-  std::atomic<uint64_t> structure_{0};
   std::atomic<uint64_t> floor_{0};
   Shard shards_[kShards];
 };

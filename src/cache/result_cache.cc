@@ -24,11 +24,8 @@ size_t ResultCharge(const CachedResult& e) {
 
 }  // namespace
 
-ResultCache::ResultCache(size_t capacity_bytes, const DataEpoch* epoch,
-                         bool enable_containment)
-    : epoch_(epoch),
-      enable_containment_(enable_containment),
-      shards_(new Shard[kShards]) {
+ResultCache::ResultCache(size_t capacity_bytes, const DataEpoch* epoch)
+    : epoch_(epoch), shards_(new Shard[kShards]) {
   for (size_t i = 0; i < kShards; ++i) {
     shards_[i].slru.set_capacity(capacity_bytes / kShards);
   }
@@ -44,10 +41,9 @@ ResultCache::ResultCache(size_t capacity_bytes, const DataEpoch* epoch,
 ResultCache::Stamps ResultCache::SnapshotStamps(
     const PredicateSet& preds) const {
   Stamps s;
-  // Order matters for the empty-predicate case too: read global/structure
-  // first so that they are at most as new as the per-cell reads.
+  // Order matters for the empty-predicate case too: read global first so
+  // that it is at most as new as the per-cell reads.
   s.global = epoch_->global();
-  s.structure = epoch_->structure();
   s.cells.reserve(preds.size());
   for (const Predicate& p : preds.predicates()) {
     CellId cell = AtomicCellId(p.dim, p.value);
@@ -115,7 +111,7 @@ ResultCache::Lookup ResultCache::Find(const QueryRequest& request,
     }
   }
 
-  if (enable_containment_ && !request.preds.empty() &&
+  if (!request.preds.empty() &&
       request.preds.size() <= kMaxContainmentPreds) {
     const auto& ps = request.preds.predicates();
     const uint32_t n = static_cast<uint32_t>(ps.size());
@@ -168,7 +164,7 @@ ResultCache::Lookup ResultCache::Find(const QueryRequest& request,
       // output to the caller for a Lemma 2 drill-down instead. Needs the
       // tree shape unchanged — the state stores node paths and MBRs.
       if (entry->skyline_state != nullptr &&
-          entry->structure_stamp == epoch_->structure()) {
+          entry->global_stamp == epoch_->global()) {
         out.outcome = CacheOutcome::kContainment;
         out.drill_prev = entry->skyline_state;
         out.plan = entry->plan;
@@ -202,7 +198,6 @@ void ResultCache::Insert(const QueryRequest& request,
   entry->skyline_state = std::move(skyline_state);
   entry->cell_stamps = stamps.cells;
   entry->global_stamp = stamps.global;
-  entry->structure_stamp = stamps.structure;
   entry->charge = ResultCharge(*entry);
 
   uint64_t fp = Fnv1a64(entry->family);

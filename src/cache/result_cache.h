@@ -4,20 +4,20 @@
 //   * exact repeats — same canonical query;
 //   * truncation   — a cached top-k with entry.k >= k' (or one that
 //     exhausted all matching tuples) answers k' by taking a prefix;
-//   * containment  — with enable_containment, a query for predicates
-//     P' ⊇ P can reuse the entry cached for P: a top-k list is filtered by
-//     the extra predicates (sound when enough survivors remain or the list
-//     was exhaustive), and a skyline entry's full engine output seeds a
-//     Lemma 2 drill-down (incremental.h) instead of a root restart. Note a
-//     skyline canNOT be answered by filtering alone — a point outside the
-//     subset relation's skyline may enter the superset-predicate skyline
-//     when its dominators stop qualifying.
+//   * containment  — a query for predicates P' ⊇ P can reuse the entry
+//     cached for P: a top-k list is filtered by the extra predicates
+//     (sound when enough survivors remain or the list was exhaustive), and
+//     a skyline entry's full engine output seeds a Lemma 2 drill-down
+//     (incremental.h) instead of a root restart. Note a skyline canNOT be
+//     answered by filtering alone — a point outside the subset relation's
+//     skyline may enter the superset-predicate skyline when its dominators
+//     stop qualifying.
 //
 // Freshness is epoch-based (epoch.h): entries carry the epoch of each
 // predicate's atomic cell (the global epoch when predicate-free) read
 // BEFORE execution, and are compared at lookup; mismatches evict lazily.
 // Reusing cached *engine state* (a SkylineOutput with node paths and MBRs,
-// the drill-down seed) additionally requires the structural epoch to be
+// the drill-down seed) additionally requires the global epoch to be
 // unchanged — any tree mutation may relocate nodes, invalidating paths even
 // where answers survive. Degraded responses are never inserted: a
 // boolean-first answer computed around corrupt signature pages would
@@ -57,8 +57,8 @@ struct CachedResult {
 
   /// Epoch stamps read before the producing execution.
   std::vector<std::pair<CellId, uint64_t>> cell_stamps;
-  uint64_t global_stamp = 0;     ///< used when preds is empty
-  uint64_t structure_stamp = 0;  ///< guards skyline_state
+  /// Validates the answer when preds is empty, and skyline_state always.
+  uint64_t global_stamp = 0;
 
   size_t charge = 0;
 
@@ -70,17 +70,15 @@ struct CachedResult {
 /// Thread-safe sharded SLRU result cache.
 class ResultCache {
  public:
-  ResultCache(size_t capacity_bytes, const DataEpoch* epoch,
-              bool enable_containment);
+  ResultCache(size_t capacity_bytes, const DataEpoch* epoch);
 
   /// Epoch stamps for a request's footprint — its predicates' atomic cells
-  /// plus the global/structural epochs. MUST be read before the execution
-  /// whose result will be inserted, so concurrent updates can only make
-  /// the entry look stale, never wrongly fresh.
+  /// plus the global epoch. MUST be read before the execution whose result
+  /// will be inserted, so concurrent updates can only make the entry look
+  /// stale, never wrongly fresh.
   struct Stamps {
     std::vector<std::pair<CellId, uint64_t>> cells;
     uint64_t global = 0;
-    uint64_t structure = 0;
   };
   Stamps SnapshotStamps(const PredicateSet& preds) const;
 
@@ -99,8 +97,8 @@ class ResultCache {
     std::shared_ptr<const SkylineOutput> drill_prev;
   };
 
-  /// Probes the exact family, then (enable_containment) predicate subsets
-  /// in decreasing size. `data` backs the containment filter pass.
+  /// Probes the exact family, then its predicate subsets in decreasing
+  /// size. `data` backs the containment filter pass.
   Lookup Find(const QueryRequest& request, const Dataset& data);
 
   /// Publishes an executed answer. No-op for degraded responses and
@@ -116,7 +114,6 @@ class ResultCache {
     return entries_.load(std::memory_order_relaxed);
   }
   const DataEpoch* epoch() const { return epoch_; }
-  bool containment_enabled() const { return enable_containment_; }
 
  private:
   static constexpr size_t kShards = 8;
@@ -140,7 +137,6 @@ class ResultCache {
   bool AnswerFresh(const CachedResult& entry) const;
 
   const DataEpoch* epoch_;
-  bool enable_containment_;
   std::unique_ptr<Shard[]> shards_;
   std::atomic<size_t> bytes_{0};
   std::atomic<size_t> entries_{0};

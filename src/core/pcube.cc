@@ -5,6 +5,12 @@
 
 namespace pcube {
 
+namespace {
+/// Bloom-filter bits per stored SID for the §VII signatures (~1% false
+/// positives).
+constexpr double kBloomBitsPerKey = 10.0;
+}  // namespace
+
 Result<PCube> PCube::Build(BufferPool* pool, const Dataset& data,
                            const RStarTree& tree, const PCubeOptions& options) {
   auto store = SignatureStore::Create(pool);
@@ -37,8 +43,7 @@ Status PCube::BuildAllCuboids(const Dataset& data, const PathTable& paths) {
       }
       PCUBE_RETURN_NOT_OK(store_->Put(cell, sigs[v]));
       if (bloom_ != nullptr) {
-        PCUBE_RETURN_NOT_OK(
-            bloom_->Put(cell, sigs[v], options_.bloom_bits_per_key));
+        PCUBE_RETURN_NOT_OK(bloom_->Put(cell, sigs[v], kBloomBitsPerKey));
       }
       ++num_cells_;
     }
@@ -75,8 +80,7 @@ Status PCube::BuildAllCuboids(const Dataset& data, const PathTable& paths) {
         CellId cell = registry_.Intern(preds);
         PCUBE_RETURN_NOT_OK(store_->Put(cell, sig));
         if (bloom_ != nullptr) {
-          PCUBE_RETURN_NOT_OK(
-              bloom_->Put(cell, sig, options_.bloom_bits_per_key));
+          PCUBE_RETURN_NOT_OK(bloom_->Put(cell, sig, kBloomBitsPerKey));
         }
         ++num_cells_;
       }
@@ -193,7 +197,7 @@ Status PCube::ApplyChanges(const Dataset& data, const PathChangeSet& changes) {
     for (const Path& p : o.sets) sig->SetPath(p);
     status = store_->Put(cell, *sig);
     if (status.ok() && bloom_ != nullptr) {
-      status = bloom_->Put(cell, *sig, options_.bloom_bits_per_key);
+      status = bloom_->Put(cell, *sig, kBloomBitsPerKey);
     }
     if (!status.ok()) break;
   }
@@ -201,8 +205,8 @@ Status PCube::ApplyChanges(const Dataset& data, const PathChangeSet& changes) {
     // Bump AFTER the writes (even failed ones — partially applied batches
     // must invalidate too): a concurrent fill that read its stamp before
     // this point can only look stale at lookup, never wrongly fresh. Even
-    // an empty ops map bumps the global/structural epochs — the underlying
-    // tree mutation may have reshaped nodes without moving any tuple.
+    // an empty ops map bumps the global epoch — the underlying tree
+    // mutation may have reshaped nodes without moving any tuple.
     std::vector<CellId> bumped;
     bumped.reserve(ops.size());
     for (const auto& [cell, o] : ops) bumped.push_back(cell);

@@ -40,7 +40,6 @@ struct PCubeOptions {
   int materialize_max_dims = 1;
   /// Also build the lossy Bloom-filter signatures of §VII.
   bool build_bloom = false;
-  double bloom_bits_per_key = 10.0;
 };
 
 /// Signature-based materialisation over one dataset + R-tree.
@@ -62,6 +61,12 @@ class PCube {
   }
 
   int num_bool_dims() const { return num_bool_dims_; }
+
+  /// True when the catalog can describe this cube: atomic cuboids only and
+  /// no Bloom signatures (Attach restores nothing else).
+  bool persistable() const {
+    return options_.materialize_max_dims <= 1 && bloom_ == nullptr;
+  }
 
   /// Creates a boolean probe for a predicate set: a single cursor when the
   /// exact cell is materialised, otherwise one cursor per atomic predicate

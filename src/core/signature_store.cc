@@ -73,7 +73,6 @@ Result<uint64_t> SignatureStore::AppendBlob(const std::vector<uint8_t>& bytes,
     if (!handle.ok()) return handle.status();
     append_offset_ = 0;
     ++num_pages_;
-    data_pages_.push_back(append_page_);
   }
   auto handle = pool_->GetMutable(append_page_, IoCategory::kSignature);
   if (!handle.ok()) return handle.status();
@@ -138,8 +137,8 @@ Status SignatureStore::Put(CellId cell, const Signature& sig) {
         }
         continue;
       }
-      // Outgrown its slot: the old bytes leak until compaction; move it
-      // with room to grow in place from now on.
+      // Outgrown its slot: the old bytes leak (nothing reuses them); move
+      // it with room to grow in place from now on.
       if (slot_end != slot_end_.end()) slot_end_.erase(slot_end);
       room = kGrowthRoom;
       --num_partials_;
@@ -224,44 +223,6 @@ Result<bool> SignatureStore::HasCell(CellId cell) const {
   auto sids = ListPartials(cell);
   if (!sids.ok()) return sids.status();
   return !sids->empty();
-}
-
-Status SignatureStore::Compact() {
-  struct Item {
-    uint32_t dense;
-    uint64_t sid;
-    std::vector<uint8_t> bytes;
-  };
-  std::vector<Item> items;
-  for (const auto& [cell, dense] : dense_) {
-    auto sids = ListPartials(cell);
-    if (!sids.ok()) return sids.status();
-    for (uint64_t sid : *sids) {
-      auto bytes = LoadPartial(cell, sid);
-      if (!bytes.ok()) return bytes.status();
-      items.push_back({dense, sid, std::move(*bytes)});
-    }
-  }
-
-  std::vector<PageId> old_pages = std::move(data_pages_);
-  data_pages_.clear();
-  page_end_.clear();
-  slot_end_.clear();
-  append_page_ = kInvalidPageId;
-  append_offset_ = 0;
-  num_pages_ = 0;
-  for (const Item& item : items) {
-    auto loc = AppendBlob(item.bytes);
-    if (!loc.ok()) return loc.status();
-    PCUBE_RETURN_NOT_OK(index_.Insert(MakeKey(item.dense, item.sid), *loc));
-  }
-  num_partials_ = items.size();
-  for (PageId pid : old_pages) {
-    Status st = pool_->FreePage(pid);
-    if (st.code() == StatusCode::kNotSupported) continue;  // no free list
-    PCUBE_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
 }
 
 }  // namespace pcube

@@ -93,13 +93,6 @@ class SignatureStore {
   /// True when at least one partial exists for `cell`.
   Result<bool> HasCell(CellId cell) const;
 
-  /// Rewrites every live partial into freshly packed pages and returns the
-  /// old data pages to the page manager's free list. Run after heavy
-  /// maintenance: in-place updates leak slot space when partials grow or
-  /// are tombstoned. (After a catalog reopen the old page list is unknown,
-  /// so compaction repacks but cannot reclaim — compact before Save().)
-  Status Compact();
-
   uint64_t num_partials() const { return num_partials_; }
   uint64_t num_pages() const { return num_pages_; }
   const BPlusTree& index() const { return index_; }
@@ -132,8 +125,6 @@ class SignatureStore {
   uint64_t num_pages_ = 0;
   PageId append_page_ = kInvalidPageId;
   uint32_t append_offset_ = 0;
-  /// Data pages owned by this store (for Compact's reclamation).
-  std::vector<PageId> data_pages_;
   /// End offset of the last blob on each data page appended to since
   /// Create (unknown after Attach): Put grows a partial that ends there in
   /// place instead of leaking its slot and appending it anew.
@@ -141,8 +132,7 @@ class SignatureStore {
   /// End offset of the bytes a slot owns past its blob — a moved partial's
   /// growth room, or the bytes a shrunk partial gave up — keyed by the
   /// slot's location with length 0. Recorded in memory as slots move or
-  /// shrink (nothing is known for slots as an Attach finds them), cleared
-  /// by Compact.
+  /// shrink (nothing is known for slots as an Attach finds them).
   std::unordered_map<uint64_t, uint32_t> slot_end_;
 };
 

@@ -9,6 +9,11 @@ namespace pcube {
 
 namespace {
 
+/// Fraction of M removed by forced re-insertion (R* paper: 30%).
+constexpr double kReinsertFraction = 0.3;
+/// Leaf fill factor of the bulk loaders (STR and the grid partition).
+constexpr double kBulkFill = 0.9;
+
 /// Entry gathered from a node during restructuring.
 struct GatheredEntry {
   RectF rect;
@@ -115,8 +120,7 @@ Status RStarTree::CheckHeight(int height) {
 }
 
 size_t RStarTree::ReinsertCount() const {
-  return std::max<size_t>(1,
-                          static_cast<size_t>(options_.reinsert_fraction * m_));
+  return std::max<size_t>(1, static_cast<size_t>(kReinsertFraction * m_));
 }
 
 Result<RStarTree> RStarTree::BuildByInsertion(BufferPool* pool,
@@ -691,7 +695,7 @@ Result<RStarTree> RStarTree::BulkLoad(BufferPool* pool, const Dataset& data,
   PCUBE_CHECK_GE(tree.m_, 2u) << "fanout must be at least 2";
   const int dims = options.dims;
   const uint32_t cap = std::max<uint32_t>(
-      2, static_cast<uint32_t>(options.bulk_fill * tree.m_));
+      2, static_cast<uint32_t>(kBulkFill * tree.m_));
 
   struct Item {
     RectF rect;
@@ -826,7 +830,7 @@ Result<RStarTree> RStarTree::BuildGridPartition(BufferPool* pool,
   // emitted in row-major order, which keeps neighbouring cells in
   // neighbouring upper-level nodes.
   const uint32_t cap = std::max<uint32_t>(
-      2, static_cast<uint32_t>(options.bulk_fill * tree.m_));
+      2, static_cast<uint32_t>(kBulkFill * tree.m_));
   struct Item {
     RectF rect;
     uint64_t id;

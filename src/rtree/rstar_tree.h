@@ -36,12 +36,8 @@ struct RTreeOptions {
   int dims = 2;
   /// 0 derives the fanout from the page size (NodeView::MaxEntries).
   uint32_t max_entries = 0;
-  /// Fraction of M removed by forced re-insertion (R* paper: 30%).
-  double reinsert_fraction = 0.3;
   /// Enables R* forced re-insertion on leaf overflow.
   bool forced_reinsert = true;
-  /// Leaf fill factor used by STR bulk loading.
-  double bulk_fill = 0.9;
 };
 
 /// Disk-resident R*-tree storing (point, TupleId) leaf entries.

@@ -227,20 +227,6 @@ Status BufferPool::FlushAll() {
   return Status::OK();
 }
 
-Status BufferPool::FreePage(PageId pid) {
-  Stripe& stripe = StripeFor(pid);
-  {
-    MutexLock lock(&stripe.mu);
-    auto it = stripe.frames.find(pid);
-    if (it != stripe.frames.end()) {
-      PCUBE_CHECK_EQ(it->second.pins, 0) << "freeing a pinned page";
-      stripe.lru.erase(it->second.lru_pos);
-      stripe.frames.erase(it);
-    }
-  }
-  return pm_->Free(pid);
-}
-
 uint64_t BufferPool::evictions() const {
   uint64_t n = 0;
   for (const auto& stripe : stripes_) {

@@ -16,10 +16,9 @@
 // race-free (see io_stats.h). This makes the READ path — Get() on pages
 // written by a happens-before build phase — safe from any number of threads,
 // which is what concurrent TopKEngine/SkylineEngine instances need. The
-// MUTATION entry points (New, FreePage, FlushAll, Clear) additionally call
-// PageManager::Allocate/Free, which are NOT thread-safe; build and
-// maintenance remain single-threaded by contract (DESIGN.md "Concurrency
-// model").
+// MUTATION entry points (New, FlushAll, Clear) are NOT thread-safe — New
+// calls PageManager::Allocate; build and maintenance remain single-threaded
+// by contract (DESIGN.md "Concurrency model").
 #pragma once
 
 #include <atomic>
@@ -113,11 +112,6 @@ class BufferPool {
   /// Writes back dirty frames and empties the cache (a "cold" restart).
   /// Requires no outstanding pins. Single-threaded.
   Status Clear();
-
-  /// Frees `pid`: drops any cached frame without write-back and returns the
-  /// page to the PageManager's free list. The page must be unpinned and no
-  /// longer referenced by any structure. Single-threaded.
-  Status FreePage(PageId pid);
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }

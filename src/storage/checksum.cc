@@ -121,13 +121,6 @@ Status ChecksumPageManager::Write(PageId pid, const Page& page) {
   return Status::OK();
 }
 
-Status ChecksumPageManager::Free(PageId pid) {
-  PCUBE_RETURN_NOT_OK(inner_->Free(pid));
-  // The page's content is now undefined until reallocated.
-  if (pid < sums_.size()) sums_[pid] = 0;
-  return Status::OK();
-}
-
 Status ChecksumPageManager::LoadSidecar() {
   std::FILE* f = std::fopen(sidecar_path_.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("no sidecar: " + sidecar_path_);

@@ -63,7 +63,6 @@ class ChecksumPageManager : public PageManager {
   Result<PageId> Allocate() override;
   Status Read(PageId pid, Page* out) override;
   Status Write(PageId pid, const Page& page) override;
-  Status Free(PageId pid) override;
   uint64_t NumPages() const override { return inner_->NumPages(); }
   Status Sync() override { return inner_->Sync(); }
 

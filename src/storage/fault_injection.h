@@ -98,7 +98,6 @@ class FaultInjectingPageManager : public PageManager {
   Result<PageId> Allocate() override { return inner_->Allocate(); }
   Status Read(PageId pid, Page* out) override;
   Status Write(PageId pid, const Page& page) override;
-  Status Free(PageId pid) override { return inner_->Free(pid); }
   uint64_t NumPages() const override { return inner_->NumPages(); }
   Status Sync() override { return inner_->Sync(); }
 

@@ -11,22 +11,10 @@
 namespace pcube {
 
 Result<PageId> MemoryPageManager::Allocate() {
-  if (!free_list_.empty()) {
-    PageId pid = free_list_.back();
-    free_list_.pop_back();
-    pages_[pid]->Zero();
-    return pid;
-  }
   auto page = std::make_unique<Page>();
   page->Zero();
   pages_.push_back(std::move(page));
   return static_cast<PageId>(pages_.size() - 1);
-}
-
-Status MemoryPageManager::Free(PageId pid) {
-  if (pid >= pages_.size()) return Status::OutOfRange("page id out of range");
-  free_list_.push_back(pid);
-  return Status::OK();
 }
 
 Status MemoryPageManager::Read(PageId pid, Page* out) {

@@ -21,8 +21,8 @@ namespace pcube {
 
 /// Abstract page store.
 ///
-/// Thread-safety contract: Allocate/Free/NumPages mutate allocator state and
-/// are single-threaded (build/maintenance paths only). Read/Write are safe
+/// Thread-safety contract: Allocate/NumPages touch allocator state and are
+/// single-threaded (build/maintenance paths only). Read/Write are safe
 /// to call concurrently for DIFFERENT pages; the striped BufferPool
 /// guarantees it never issues two concurrent accesses to the SAME page
 /// (same-page operations serialise on the page's stripe). Under that
@@ -42,15 +42,7 @@ class PageManager {
   /// Writes `page` as the new content of `pid`.
   virtual Status Write(PageId pid, const Page& page) = 0;
 
-  /// Returns `pid` to the allocator for reuse (space reclamation after
-  /// compaction). Implementations may decline with NotSupported.
-  virtual Status Free(PageId pid) {
-    (void)pid;
-    return Status::NotSupported("page manager has no free list");
-  }
-
-  /// Number of pages allocated so far (freed pages stay counted until
-  /// reused).
+  /// Number of pages allocated so far.
   virtual uint64_t NumPages() const = 0;
 
   /// Forces previously written pages to stable storage (fdatasync for the
@@ -69,15 +61,10 @@ class MemoryPageManager : public PageManager {
   Result<PageId> Allocate() override;
   Status Read(PageId pid, Page* out) override;
   Status Write(PageId pid, const Page& page) override;
-  Status Free(PageId pid) override;
   uint64_t NumPages() const override { return pages_.size(); }
-
-  /// Pages currently on the free list (reused before growing).
-  size_t num_free() const { return free_list_.size(); }
 
  private:
   std::vector<std::unique_ptr<Page>> pages_;
-  std::vector<PageId> free_list_;
 };
 
 /// Page store backed by a file on disk.
@@ -129,7 +116,6 @@ class LatencyPageManager : public PageManager {
   Status Write(PageId pid, const Page& page) override {
     return inner_->Write(pid, page);
   }
-  Status Free(PageId pid) override { return inner_->Free(pid); }
   uint64_t NumPages() const override { return inner_->NumPages(); }
   Status Sync() override { return inner_->Sync(); }
 

@@ -21,64 +21,25 @@ Result<std::unique_ptr<Workbench>> Workbench::Build(Dataset data,
                                                     WorkbenchOptions options) {
   std::unique_ptr<Workbench> wb(new Workbench());
   wb->data_ = std::move(data);
-  if (options.file_path.empty()) {
-    wb->pm_ = std::make_unique<MemoryPageManager>();
-  } else {
-    auto fpm = FilePageManager::Open(options.file_path, /*truncate=*/true);
-    if (!fpm.ok()) return fpm.status();
-    wb->pm_ = std::move(*fpm);
-    // A stale sidecar from a previous database at this path must not
-    // survive the truncation.
-    std::remove((options.file_path + ".chk").c_str());
-  }
-  // Decorator stack, bottom-up: base -> fault injection -> checksums ->
-  // latency. Faults sit below the checksum layer so injected corruption is
-  // detected exactly like real corruption would be.
-  if (options.fault_plan.enabled()) {
-    auto wrapped = std::make_unique<FaultInjectingPageManager>(
-        std::move(wb->pm_), options.fault_plan);
-    wb->faults_ = wrapped.get();
-    wb->faults_->set_armed(false);  // armed below, after construction
-    wb->pm_ = std::move(wrapped);
-  }
-  if (options.verify_checksums) {
-    auto wrapped = std::make_unique<ChecksumPageManager>(
-        std::move(wb->pm_),
-        options.file_path.empty() ? std::string() : options.file_path + ".chk");
-    wb->checksums_ = wrapped.get();
-    wb->pm_ = std::move(wrapped);
-  }
-  LatencyPageManager* latency = nullptr;
-  if (options.read_latency_us > 0) {
-    // Wrap at zero latency so the build itself stays fast; enabled below.
-    auto wrapped = std::make_unique<LatencyPageManager>(std::move(wb->pm_));
-    latency = wrapped.get();
-    wb->pm_ = std::move(wrapped);
-  }
-  wb->pool_ = std::make_unique<BufferPool>(wb->pm_.get(), options.pool_pages,
-                                           &wb->stats_, options.pool_stripes);
+  PCUBE_RETURN_NOT_OK(
+      wb->StackPages(options.file_path, /*create=*/true, options));
   if (!options.file_path.empty()) {
     // Reserve the catalog root before anything else so Open() can find it.
     auto handle = wb->pool_->New(IoCategory::kBtree, &wb->catalog_root_);
     if (!handle.ok()) return handle.status();
     PCUBE_CHECK_EQ(wb->catalog_root_, PageId{0});
   }
-  if (options.build_table) {
-    auto table = TableStore::Build(wb->pool_.get(), wb->data_);
-    if (!table.ok()) return table.status();
-    wb->table_ = std::make_unique<TableStore>(std::move(*table));
+  auto table = TableStore::Build(wb->pool_.get(), wb->data_);
+  if (!table.ok()) return table.status();
+  wb->table_ = std::make_unique<TableStore>(std::move(*table));
+  for (int d = 0; d < wb->data_.num_bool(); ++d) {
+    auto index = BooleanIndex::Build(wb->pool_.get(), wb->data_, d);
+    if (!index.ok()) return index.status();
+    wb->indices_.push_back(std::move(*index));
   }
-  if (options.build_indices) {
-    for (int d = 0; d < wb->data_.num_bool(); ++d) {
-      auto index = BooleanIndex::Build(wb->pool_.get(), wb->data_, d);
-      if (!index.ok()) return index.status();
-      wb->indices_.push_back(std::move(*index));
-    }
-    wb->CountPostings();
-  }
+  wb->CountPostings();
   RTreeOptions rtree_options = options.rtree;
   rtree_options.dims = wb->data_.num_pref();
-  wb->rtree_options_ = rtree_options;
   auto tree =
       options.grid_cells_per_dim > 0
           ? RStarTree::BuildGridPartition(wb->pool_.get(), wb->data_,
@@ -91,14 +52,10 @@ Result<std::unique_ptr<Workbench>> Workbench::Build(Dataset data,
                                        rtree_options));
   if (!tree.ok()) return tree.status();
   wb->tree_ = std::make_unique<RStarTree>(std::move(*tree));
-  if (options.build_cube) {
-    auto cube = PCube::Build(wb->pool_.get(), wb->data_, *wb->tree_,
-                             options.pcube);
-    if (!cube.ok()) return cube.status();
-    wb->cube_ = std::make_unique<PCube>(std::move(*cube));
-  }
-  wb->SetUpCaches(options);
-  PCUBE_RETURN_NOT_OK(wb->ColdStartLocked());
+  auto cube =
+      PCube::Build(wb->pool_.get(), wb->data_, *wb->tree_, options.pcube);
+  if (!cube.ok()) return cube.status();
+  wb->cube_ = std::make_unique<PCube>(std::move(*cube));
   Wal::Options wal_options;
   if (!options.file_path.empty()) wal_options.path = options.file_path + ".wal";
   wal_options.truncate = true;
@@ -106,10 +63,7 @@ Result<std::unique_ptr<Workbench>> Workbench::Build(Dataset data,
   auto wal = Wal::Open(wal_options);
   if (!wal.ok()) return wal.status();
   wb->wal_ = std::move(*wal);
-  if (latency != nullptr) latency->set_read_latency_us(options.read_latency_us);
-  if (wb->faults_ != nullptr) wb->faults_->set_armed(true);
-  if (wb->wal_->faults() != nullptr) wb->wal_->faults()->set_armed(true);
-  wb->StartMaintenance();
+  PCUBE_RETURN_NOT_OK(wb->StartUp(options));
   return wb;
 }
 
@@ -124,7 +78,60 @@ Workbench::~Workbench() {
   }
 }
 
-void Workbench::StartMaintenance() {
+Status Workbench::StackPages(const std::string& path, bool create,
+                             const WorkbenchOptions& options) {
+  if (path.empty()) {
+    pm_ = std::make_unique<MemoryPageManager>();
+  } else {
+    auto fpm = FilePageManager::Open(path, /*truncate=*/create);
+    if (!fpm.ok()) return fpm.status();
+    pm_ = std::move(*fpm);
+    // A stale sidecar from a previous database at this path must not
+    // survive the truncation.
+    if (create) std::remove((path + ".chk").c_str());
+  }
+  // Decorator stack, bottom-up: base -> fault injection -> checksums ->
+  // latency. Faults sit below the checksum layer so injected corruption is
+  // detected exactly like real corruption would be. Injection stays
+  // disarmed and the latency zero until StartUp(), so building, reopening
+  // and replay run fast and fault-free.
+  if (options.fault_plan.enabled()) {
+    auto wrapped = std::make_unique<FaultInjectingPageManager>(
+        std::move(pm_), options.fault_plan);
+    faults_ = wrapped.get();
+    faults_->set_armed(false);
+    pm_ = std::move(wrapped);
+  }
+  auto checksums = std::make_unique<ChecksumPageManager>(
+      std::move(pm_), path.empty() ? std::string() : path + ".chk");
+  checksums_ = checksums.get();
+  pm_ = std::move(checksums);
+  if (options.read_latency_us > 0) {
+    auto wrapped = std::make_unique<LatencyPageManager>(std::move(pm_));
+    latency_ = wrapped.get();
+    pm_ = std::move(wrapped);
+  }
+  pool_ = std::make_unique<BufferPool>(pm_.get(), options.pool_pages, &stats_,
+                                       options.pool_stripes);
+  return Status::OK();
+}
+
+Status Workbench::StartUp(const WorkbenchOptions& options) {
+  if (options.fragment_cache_mb > 0) {
+    fragment_cache_ = std::make_unique<FragmentCache>(
+        options.fragment_cache_mb << 20, &epoch_);
+  }
+  if (options.result_cache_mb > 0) {
+    result_cache_ =
+        std::make_unique<ResultCache>(options.result_cache_mb << 20, &epoch_);
+  }
+  cube_->AttachCaches(&epoch_, fragment_cache_.get());
+  PCUBE_RETURN_NOT_OK(ColdStartLocked());
+  if (latency_ != nullptr) {
+    latency_->set_read_latency_us(options.read_latency_us);
+  }
+  if (faults_ != nullptr) faults_->set_armed(true);
+  if (wal_->faults() != nullptr) wal_->faults()->set_armed(true);
   {
     MutexLock lock(&write_mu_);
     staged_rows_ = data_.num_tuples();
@@ -132,6 +139,7 @@ void Workbench::StartMaintenance() {
     applied_lsn_ = wal_->durable_lsn();
   }
   maintenance_ = std::thread([this] { MaintenanceLoop(); });
+  return Status::OK();
 }
 
 void Workbench::MaintenanceLoop() {
@@ -199,9 +207,6 @@ void Workbench::MaintenanceLoop() {
 }
 
 Result<WriteResult> Workbench::Apply(const WriteBatch& batch) {
-  if (tree_ == nullptr) {
-    return Status::NotSupported("instance was built without an R-tree");
-  }
   PCUBE_RETURN_NOT_OK(ValidateWriteBatch(batch, data_.schema()));
   const auto start = std::chrono::steady_clock::now();
 
@@ -294,9 +299,6 @@ Status Workbench::DrainWrites() {
 }
 
 Status Workbench::RebuildCube() {
-  if (cube_ == nullptr) {
-    return Status::InvalidArgument("instance was built without a cube");
-  }
   PCUBE_RETURN_NOT_OK(DrainWrites());
   WriterLock structure_lock(&struct_mu_);
   WriteApplier applier(this);
@@ -308,8 +310,10 @@ Status Workbench::Save() {
     return Status::InvalidArgument(
         "Save() requires a file-backed workbench (options.file_path)");
   }
-  if (table_ == nullptr) {
-    return Status::InvalidArgument("Save() requires build_table");
+  if (!cube_->persistable()) {
+    return Status::InvalidArgument(
+        "Save() needs a cube of atomic cuboids without Bloom signatures; "
+        "Open() restores no other kind");
   }
   // Every staged batch must be applied before the catalog snapshots the
   // structures, and nothing may mutate them while pages flush.
@@ -334,26 +338,24 @@ Status Workbench::Save() {
   c.rtree_fanout = tree_->fanout();
   c.rtree_entries = tree_->num_entries();
   c.rtree_pages = tree_->num_pages();
-  if (cube_ != nullptr) {
-    c.has_cube = true;
-    const SignatureStore& store = cube_->store();
-    c.sig_index_root = store.index().root();
-    c.sig_index_entries = store.num_index_entries();
-    c.sig_index_pages = store.index().num_pages();
-    c.sig_dense = store.dense_cells();
-    c.sig_num_partials = store.num_partials();
-    c.sig_num_pages = store.num_pages();
-    c.sig_append_page = store.append_page();
-    c.sig_append_offset = store.append_offset();
-    c.cube_cells = cube_->num_cells();
-    c.cube_levels = cube_->levels();
-  }
+  c.has_cube = true;
+  const SignatureStore& store = cube_->store();
+  c.sig_index_root = store.index().root();
+  c.sig_index_entries = store.num_index_entries();
+  c.sig_index_pages = store.index().num_pages();
+  c.sig_dense = store.dense_cells();
+  c.sig_num_partials = store.num_partials();
+  c.sig_num_pages = store.num_pages();
+  c.sig_append_page = store.append_page();
+  c.sig_append_offset = store.append_offset();
+  c.cube_cells = cube_->num_cells();
+  c.cube_levels = cube_->levels();
   c.dictionaries = dictionaries_;
   c.tombstones.assign(tombstones_.begin(), tombstones_.end());
   std::sort(c.tombstones.begin(), c.tombstones.end());
   PCUBE_RETURN_NOT_OK(SaveCatalog(pool_.get(), catalog_root_, c));
   PCUBE_RETURN_NOT_OK(pool_->FlushAll());
-  if (checksums_ != nullptr) PCUBE_RETURN_NOT_OK(checksums_->SyncSidecar());
+  PCUBE_RETURN_NOT_OK(checksums_->SyncSidecar());
   // Durability order: page file on stable storage FIRST, then the WAL
   // checkpoint that declares its records folded in. A crash between the
   // two replays records whose effects are already present — the replay
@@ -362,51 +364,21 @@ Status Workbench::Save() {
   return wal_->Checkpoint();
 }
 
-void Workbench::SetUpCaches(const WorkbenchOptions& options) {
-  if (options.fragment_cache_mb > 0) {
-    fragment_cache_ = std::make_unique<FragmentCache>(
-        options.fragment_cache_mb << 20, &epoch_);
-  }
-  if (options.result_cache_mb > 0) {
-    result_cache_ = std::make_unique<ResultCache>(
-        options.result_cache_mb << 20, &epoch_, options.enable_containment);
-  }
-  if (cube_ != nullptr) cube_->AttachCaches(&epoch_, fragment_cache_.get());
-}
-
 Result<std::unique_ptr<Workbench>> Workbench::Open(
     const std::string& path, const WorkbenchOptions& options) {
   std::unique_ptr<Workbench> wb(new Workbench());
-  auto fpm = FilePageManager::Open(path, /*truncate=*/false);
-  if (!fpm.ok()) return fpm.status();
-  wb->pm_ = std::move(*fpm);
-  if (options.fault_plan.enabled()) {
-    auto wrapped = std::make_unique<FaultInjectingPageManager>(
-        std::move(wb->pm_), options.fault_plan);
-    wb->faults_ = wrapped.get();
-    wb->faults_->set_armed(false);  // armed below, after re-attaching
-    wb->pm_ = std::move(wrapped);
-  }
-  if (options.verify_checksums) {
-    auto wrapped = std::make_unique<ChecksumPageManager>(std::move(wb->pm_),
-                                                         path + ".chk");
-    wb->checksums_ = wrapped.get();
-    wb->pm_ = std::move(wrapped);
-  }
-  LatencyPageManager* latency = nullptr;
-  if (options.read_latency_us > 0) {
-    // Wrap at zero latency so re-attaching and the table re-scan below stay
-    // fast; enabled just before returning, like Build().
-    auto wrapped = std::make_unique<LatencyPageManager>(std::move(wb->pm_));
-    latency = wrapped.get();
-    wb->pm_ = std::move(wrapped);
-  }
-  wb->pool_ = std::make_unique<BufferPool>(wb->pm_.get(), options.pool_pages,
-                                           &wb->stats_, options.pool_stripes);
+  PCUBE_RETURN_NOT_OK(wb->StackPages(path, /*create=*/false, options));
   wb->catalog_root_ = 0;
   auto catalog = LoadCatalog(wb->pool_.get(), wb->catalog_root_);
   if (!catalog.ok()) return catalog.status();
   const CatalogData& c = *catalog;
+  // Save() writes every structure; a catalog that lacks one is damage.
+  if (!c.has_cube) return Status::Corruption("catalog holds no cube");
+  if (c.indices.size() != static_cast<size_t>(c.num_bool)) {
+    return Status::Corruption(
+        "catalog holds " + std::to_string(c.indices.size()) +
+        " boolean indices for " + std::to_string(c.num_bool) + " dimensions");
+  }
 
   wb->table_ = std::make_unique<TableStore>(TableStore::Attach(
       wb->pool_.get(), c.num_bool, c.num_pref, c.num_tuples, c.table_pages));
@@ -419,19 +391,16 @@ Result<std::unique_ptr<Workbench>> Workbench::Open(
   RTreeOptions rtree_options;
   rtree_options.dims = c.num_pref;
   rtree_options.max_entries = c.rtree_fanout;
-  wb->rtree_options_ = rtree_options;
   wb->tree_ = std::make_unique<RStarTree>(
       RStarTree::Attach(wb->pool_.get(), rtree_options, c.rtree_root,
                         c.rtree_height, c.rtree_entries, c.rtree_pages));
-  if (c.has_cube) {
-    auto store = std::make_unique<SignatureStore>(SignatureStore::Attach(
-        wb->pool_.get(), c.sig_index_root, c.sig_index_entries,
-        c.sig_index_pages, c.sig_dense, c.sig_num_partials, c.sig_num_pages,
-        c.sig_append_page, c.sig_append_offset));
-    wb->cube_ = std::make_unique<PCube>(
-        PCube::Attach(std::move(store), c.rtree_fanout, c.cube_levels,
-                      c.num_bool, c.cube_cells));
-  }
+  auto store = std::make_unique<SignatureStore>(SignatureStore::Attach(
+      wb->pool_.get(), c.sig_index_root, c.sig_index_entries,
+      c.sig_index_pages, c.sig_dense, c.sig_num_partials, c.sig_num_pages,
+      c.sig_append_page, c.sig_append_offset));
+  wb->cube_ = std::make_unique<PCube>(PCube::Attach(
+      std::move(store), c.rtree_fanout, c.cube_levels, c.num_bool,
+      c.cube_cells));
 
   wb->dictionaries_ = c.dictionaries;
   wb->tombstones_.insert(c.tombstones.begin(), c.tombstones.end());
@@ -481,12 +450,7 @@ Result<std::unique_ptr<Workbench>> Workbench::Open(
   });
   if (!replayed.ok()) return replayed.status();
 
-  wb->SetUpCaches(options);
-  PCUBE_RETURN_NOT_OK(wb->ColdStartLocked());
-  if (latency != nullptr) latency->set_read_latency_us(options.read_latency_us);
-  if (wb->faults_ != nullptr) wb->faults_->set_armed(true);
-  if (wb->wal_->faults() != nullptr) wb->wal_->faults()->set_armed(true);
-  wb->StartMaintenance();
+  PCUBE_RETURN_NOT_OK(wb->StartUp(options));
   if (replay_applied) {
     // Recovery ends with a checkpoint. The replayed batches mutated pages
     // in the buffer pool only; without folding them into the page file now,
@@ -624,12 +588,7 @@ Result<PlanEstimate> Workbench::Estimate(const PredicateSet& preds) {
   return EstimateLocked(preds);
 }
 
-Result<PlanEstimate> Workbench::EstimateLocked(
-    const PredicateSet& preds) const {
-  if (table_ == nullptr ||
-      indices_.size() < static_cast<size_t>(data_.num_bool())) {
-    return Status::NotSupported("instance was built without table or indices");
-  }
+PlanEstimate Workbench::EstimateLocked(const PredicateSet& preds) const {
   PlanEstimate est;
   const uint64_t total = data_.num_tuples();
 
@@ -705,9 +664,6 @@ Status Workbench::Execute(const QueryRequest& request, QueryResponse* resp) {
   // must fail typed here, before any cache key, index lookup or engine is
   // derived from it.
   PCUBE_RETURN_NOT_OK(CheckRequest(request));
-  if (cube_ == nullptr) {
-    return Status::NotSupported("instance was built without a cube");
-  }
   MetricsRegistry& registry = MetricsRegistry::Default();
   std::optional<std::chrono::steady_clock::time_point> deadline;
   if (request.deadline_ms > 0) {
@@ -759,9 +715,7 @@ Status Workbench::Execute(const QueryRequest& request, QueryResponse* resp) {
     resp->estimate.choice = PlanChoice::kBooleanFirst;
   } else {
     ScopedSpan span(&resp->trace, "plan_estimate");
-    auto est = EstimateLocked(request.preds);
-    if (!est.ok()) return est.status();
-    resp->estimate = *est;
+    resp->estimate = EstimateLocked(request.preds);
   }
 
   std::shared_ptr<const SkylineOutput> skyline_state;
@@ -876,7 +830,6 @@ Status Workbench::ExecuteBoolean(
 
 Result<SkylineOutput> Workbench::SignatureSkyline(const PredicateSet& preds,
                                                   std::vector<int> pref_dims) {
-  PCUBE_CHECK(cube_ != nullptr);
   ReaderLock structure_lock(&struct_mu_);
   auto probe = cube_->MakeProbe(preds);
   if (!probe.ok()) return probe.status();
@@ -889,7 +842,6 @@ Result<SkylineOutput> Workbench::SignatureSkyline(const PredicateSet& preds,
 Result<TopKOutput> Workbench::SignatureTopK(const PredicateSet& preds,
                                             const RankingFunction& f,
                                             size_t k) {
-  PCUBE_CHECK(cube_ != nullptr);
   ReaderLock structure_lock(&struct_mu_);
   auto probe = cube_->MakeProbe(preds);
   if (!probe.ok()) return probe.status();
@@ -991,27 +943,23 @@ Result<Workbench::IntegrityReport> Workbench::VerifyIntegrity() {
   }
 
   // 3. R-tree structural invariants.
-  if (tree_ != nullptr) {
-    std::vector<std::string> problems;
-    Status walk = tree_->CheckStructure(&problems);
-    if (!walk.ok()) {
-      report.errors.emplace_back(kInvalidPageId, walk.ToString());
-    }
-    for (std::string& p : problems) {
-      report.errors.emplace_back(kInvalidPageId, std::move(p));
-    }
+  std::vector<std::string> problems;
+  Status walk = tree_->CheckStructure(&problems);
+  if (!walk.ok()) {
+    report.errors.emplace_back(kInvalidPageId, walk.ToString());
+  }
+  for (std::string& p : problems) {
+    report.errors.emplace_back(kInvalidPageId, std::move(p));
   }
 
   // 4. Signature store: every stored cell's signature must reassemble.
-  if (cube_ != nullptr) {
-    const SignatureStore& store = cube_->store();
-    for (const auto& [cell, dense] : store.dense_cells()) {
-      auto sig = store.LoadFull(cell, cube_->fanout(), cube_->levels());
-      if (!sig.ok()) {
-        report.errors.emplace_back(
-            kInvalidPageId, "signature cell " + std::to_string(dense) + ": " +
-                                sig.status().ToString());
-      }
+  const SignatureStore& store = cube_->store();
+  for (const auto& [cell, dense] : store.dense_cells()) {
+    auto sig = store.LoadFull(cell, cube_->fanout(), cube_->levels());
+    if (!sig.ok()) {
+      report.errors.emplace_back(
+          kInvalidPageId, "signature cell " + std::to_string(dense) + ": " +
+                              sig.status().ToString());
     }
   }
 
@@ -1024,32 +972,24 @@ void Workbench::ExportMetrics(MetricsRegistry* registry) const {
   pool_->ExportTo(registry, "pcube_bufferpool");
   registry->GetGauge("pcube_pages_total")
       ->Set(static_cast<double>(pm_->NumPages()));
-  if (table_ != nullptr) {
-    registry->GetGauge("pcube_table_pages")
-        ->Set(static_cast<double>(table_->num_pages()));
-  }
-  if (tree_ != nullptr) {
-    registry->GetGauge("pcube_rtree_pages")
-        ->Set(static_cast<double>(tree_->num_pages()));
-  }
-  if (cube_ != nullptr) {
-    registry->GetGauge("pcube_cube_pages")
-        ->Set(static_cast<double>(cube_->MaterializedPages()));
-    registry->GetGauge("pcube_cube_cells")
-        ->Set(static_cast<double>(cube_->num_cells()));
-  }
+  registry->GetGauge("pcube_table_pages")
+      ->Set(static_cast<double>(table_->num_pages()));
+  registry->GetGauge("pcube_rtree_pages")
+      ->Set(static_cast<double>(tree_->num_pages()));
+  registry->GetGauge("pcube_cube_pages")
+      ->Set(static_cast<double>(cube_->MaterializedPages()));
+  registry->GetGauge("pcube_cube_cells")
+      ->Set(static_cast<double>(cube_->num_cells()));
   registry->GetGauge("pcube_io_reads_total")
       ->Set(static_cast<double>(stats_.TotalReads()));
   registry->GetGauge("pcube_io_writes_total")
       ->Set(static_cast<double>(stats_.TotalWrites()));
   registry->GetGauge("pcube_tombstones")
       ->Set(static_cast<double>(tombstones_.size()));
-  if (wal_ != nullptr) {
-    registry->GetGauge("pcube_wal_durable_lsn")
-        ->Set(static_cast<double>(wal_->durable_lsn()));
-    registry->GetGauge("pcube_wal_syncs")
-        ->Set(static_cast<double>(wal_->sync_count()));
-  }
+  registry->GetGauge("pcube_wal_durable_lsn")
+      ->Set(static_cast<double>(wal_->durable_lsn()));
+  registry->GetGauge("pcube_wal_syncs")
+      ->Set(static_cast<double>(wal_->sync_count()));
 
   // Cache occupancy plus per-level hit rates. The caches report their
   // event counters into the process-wide default registry; the rates here

@@ -76,11 +76,14 @@ struct BatchOutput {
 };
 
 /// Every knob of a Workbench instance, for both entry points — this struct
-/// is the single documented surface: Build(data, options) honours all
+/// is the single documented surface. Every instance carries all of its
+/// structures (heap file, boolean indices, R-tree, cube) and per-page
+/// checksums; the knobs only shape them. Build(data, options) honours all
 /// fields; Open(path, options) honours the runtime fields (pool_pages,
-/// pool_stripes, read_latency_us, verify_checksums, fault_plan and the
-/// cache knobs) and ignores the build-time ones (rtree, pcube, grid/build_*
-/// flags, file_path) because the structures already exist on disk.
+/// pool_stripes, read_latency_us, both fault plans and both cache budgets)
+/// and ignores the build-time ones (rtree, pcube, rtree_by_insertion,
+/// grid_cells_per_dim, file_path) because the structures already exist on
+/// disk.
 struct WorkbenchOptions {
   /// Buffer-pool capacity in pages (default 64Ki pages = 256 MiB of frames).
   size_t pool_pages = size_t{1} << 16;
@@ -98,9 +101,6 @@ struct WorkbenchOptions {
   /// When > 0, use an equi-width grid partition with this many cells per
   /// dimension as the P-Cube template instead of an R-tree clustering.
   int grid_cells_per_dim = 0;
-  bool build_indices = true;
-  bool build_cube = true;
-  bool build_table = true;
   /// When > 0, wrap the page manager in a LatencyPageManager sleeping this
   /// long per physical read. The latency is enabled only AFTER construction,
   /// so building stays fast; queries then pay real blocked time per page
@@ -108,11 +108,10 @@ struct WorkbenchOptions {
   double read_latency_us = 0;
   /// When non-empty, back everything by a file instead of RAM; the instance
   /// can then be persisted with Save() and reopened with Workbench::Open().
+  /// Every page carries a CRC-32 verified on each physical read
+  /// (storage/checksum.h), persisted to `<file_path>.chk` on Save(); files
+  /// from before that layer open fine (adopt-on-read).
   std::string file_path;
-  /// Verify a CRC-32 per page on every physical read (storage/checksum.h).
-  /// File-backed instances persist the checksums to `<file_path>.chk` on
-  /// Save(); files from before this layer open fine (adopt-on-read).
-  bool verify_checksums = true;
   /// Storage fault injection (storage/fault_injection.h). Injection is
   /// disarmed while Build/Open construct the structures and armed just
   /// before returning, so faults hit queries, not construction.
@@ -127,10 +126,6 @@ struct WorkbenchOptions {
   /// L2 decoded-signature fragment cache budget in MiB
   /// (cache/fragment_cache.h); 0 disables the level.
   size_t fragment_cache_mb = 16;
-  /// Allow L1 containment reuse: answer predicates P' ⊇ P from the entry
-  /// cached for P (top-k filter pass / skyline Lemma 2 drill-down).
-  /// Exact-repeat and truncation hits work regardless.
-  bool enable_containment = true;
 };
 
 /// One fully built experimental instance. Heap-allocated and pinned (the
@@ -146,15 +141,17 @@ class Workbench {
   /// yet survive in the WAL and are replayed by the next Open().
   ~Workbench();
 
-  /// Writes the catalog and flushes all pages; only valid for file-backed
-  /// instances (options.file_path). Requires build_table and build_indices;
-  /// the cube must use atomic cuboids without Bloom signatures. Drains the
-  /// write path, syncs the page file, then truncates the WAL (checkpoint).
+  /// Writes the catalog and flushes all pages. InvalidArgument unless the
+  /// instance is file-backed (options.file_path) and its cube is one Open()
+  /// can restore (PCube::persistable: atomic cuboids, no Bloom signatures).
+  /// Drains the write path, syncs the page file, then truncates the WAL
+  /// (checkpoint).
   Status Save();
 
   /// Reopens a previously Save()d file: re-attaches every structure and
-  /// reconstructs the in-memory Dataset from the heap file. The single
-  /// open path — `options` defaults cover the common case; see
+  /// reconstructs the in-memory Dataset from the heap file. A catalog that
+  /// lacks the cube or an index per boolean dimension is Corruption. The
+  /// single open path — `options` defaults cover the common case; see
   /// WorkbenchOptions for which fields apply to reopen.
   static Result<std::unique_ptr<Workbench>> Open(
       const std::string& path, const WorkbenchOptions& options = {});
@@ -183,7 +180,7 @@ class Workbench {
   PageManager* page_manager() { return pm_.get(); }
   /// The fault-injection layer, or null when options.fault_plan is empty.
   FaultInjectingPageManager* faults() { return faults_; }
-  /// The checksum layer, or null when options.verify_checksums is false.
+  /// The checksum layer (always present).
   ChecksumPageManager* checksums() { return checksums_; }
 
   /// The invalidation epochs every mutation bumps (always present).
@@ -304,9 +301,19 @@ class Workbench {
 
   Workbench() : pool_(nullptr) {}
 
-  /// Creates the configured cache levels and attaches them (and the epoch
-  /// registry) to the cube; shared tail of Build() and Open().
-  void SetUpCaches(const WorkbenchOptions& options);
+  /// Builds the page stack shared by Build() and Open(), bottom-up: the
+  /// base store (RAM when `path` is empty, else the file, truncated when
+  /// `create`) -> fault injection (disarmed) -> checksums -> latency (at
+  /// zero) -> buffer pool.
+  Status StackPages(const std::string& path, bool create,
+                    const WorkbenchOptions& options);
+
+  /// Start-up tail of Build() and Open(), once every structure exists and
+  /// the WAL is open: creates the configured cache levels and attaches them
+  /// to the cube, empties the pool, enables the read latency, arms both
+  /// fault plans, seeds the write-path cursors and starts the maintenance
+  /// thread.
+  Status StartUp(const WorkbenchOptions& options);
 
   /// ColdStart() for callers that already exclude queries and maintenance
   /// (Build/Open before the first query, VerifyIntegrity under the lock).
@@ -325,7 +332,7 @@ class Workbench {
   /// origin (empty or one coordinate per preference dimension), skyband_k
   /// and the ranking's dimension count must fit the schema.
   Status CheckRequest(const QueryRequest& request) const;
-  Result<PlanEstimate> EstimateLocked(const PredicateSet& preds) const;
+  PlanEstimate EstimateLocked(const PredicateSet& preds) const;
   Status Execute(const QueryRequest& request, QueryResponse* resp);
   Status ExecuteSignature(
       const QueryRequest& request, const SkylineOutput* drill_prev,
@@ -335,10 +342,6 @@ class Workbench {
       const QueryRequest& request,
       const std::optional<std::chrono::steady_clock::time_point>& deadline,
       QueryResponse* resp);
-
-  /// Seeds the write-path cursors from the (possibly replayed) WAL and
-  /// starts the maintenance thread; shared tail of Build() and Open().
-  void StartMaintenance();
 
   /// One staged-but-unapplied batch, queued in LSN order.
   struct PendingWrite {
@@ -362,6 +365,7 @@ class Workbench {
   std::unique_ptr<PageManager> pm_;
   FaultInjectingPageManager* faults_ = nullptr;   // owned via pm_ chain
   ChecksumPageManager* checksums_ = nullptr;      // owned via pm_ chain
+  LatencyPageManager* latency_ = nullptr;         // owned via pm_ chain
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<TableStore> table_;
   std::vector<BooleanIndex> indices_;
@@ -375,7 +379,6 @@ class Workbench {
   std::unique_ptr<FragmentCache> fragment_cache_;
   std::unique_ptr<ResultCache> result_cache_;
   PageId catalog_root_ = kInvalidPageId;
-  RTreeOptions rtree_options_;
   std::vector<std::vector<std::string>> dictionaries_;
   // pcube-lint: end-lock-free
 
@@ -409,7 +412,7 @@ class Workbench {
   bool stop_maintenance_ GUARDED_BY(write_mu_) = false;
   CondVar pending_cv_;  ///< maintenance waits: work arrived / stop
   CondVar applied_cv_;  ///< writers wait: applied_lsn_ advanced
-  // pcube-lint: lock-free(started last in StartMaintenance(), joined in
+  // pcube-lint: lock-free(started last in StartUp(), joined in
   // Stop()/the destructor; the handle is never touched in between)
   std::thread maintenance_;
 };

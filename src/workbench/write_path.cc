@@ -50,14 +50,12 @@ Status WriteApplier::Apply(const WriteBatch& batch, bool replay) {
 
   for (const WriteBatch::Row& row : batch.inserts) {
     TupleId tid = data.Append(row.bools, row.prefs);
-    if (wb_->table_ != nullptr) {
-      auto appended = wb_->table_->Append(row.bools, row.prefs);
-      if (!appended.ok()) {
-        first_error = appended.status();
-        break;
-      }
-      PCUBE_CHECK_EQ(*appended, tid);
+    auto appended = wb_->table_->Append(row.bools, row.prefs);
+    if (!appended.ok()) {
+      first_error = appended.status();
+      break;
     }
+    PCUBE_CHECK_EQ(*appended, tid);
     for (size_t d = 0; d < wb_->indices_.size() && first_error.ok(); ++d) {
       first_error = wb_->indices_[d].Add(row.bools[d], tid);
       if (first_error.ok()) wb_->AddPosting(static_cast<int>(d), row.bools[d]);
@@ -78,35 +76,15 @@ Status WriteApplier::Apply(const WriteBatch& batch, bool replay) {
     wb_->tombstones_.insert(tid);
   }
 
-  Status maintained;
-  if (wb_->cube_ != nullptr) {
-    maintained = wb_->cube_->ApplyChanges(data, changes);
-    if (maintained.code() == StatusCode::kNotSupported) {
-      // Root split: every path changed, re-derive all signatures.
-      maintained = wb_->cube_->Rebuild(data, *wb_->tree_);
-    }
-  } else {
-    // No cube: the epoch bump ApplyChanges would have issued happens here
-    // so the L1 cache still invalidates exactly.
-    std::vector<CellId> cells;
-    auto collect = [&](TupleId tid) {
-      for (int d = 0; d < data.num_bool(); ++d) {
-        cells.push_back(AtomicCellId(d, data.BoolValue(tid, d)));
-      }
-    };
-    for (TupleId tid = first_new_tid; tid < data.num_tuples(); ++tid) {
-      collect(tid);
-    }
-    for (TupleId tid : deletes) collect(tid);
-    wb_->epoch_.BumpCells(cells);
+  Status maintained = wb_->cube_->ApplyChanges(data, changes);
+  if (maintained.code() == StatusCode::kNotSupported) {
+    // Root split: every path changed, re-derive all signatures.
+    maintained = wb_->cube_->Rebuild(data, *wb_->tree_);
   }
   return first_error.ok() ? maintained : first_error;
 }
 
 Status WriteApplier::RebuildCube() {
-  if (wb_->cube_ == nullptr) {
-    return Status::InvalidArgument("instance was built without a cube");
-  }
   return wb_->cube_->Rebuild(*wb_->mutable_data(), *wb_->tree_);
 }
 

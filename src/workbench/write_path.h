@@ -5,9 +5,8 @@
 // PCube::ApplyChanges/Rebuild — the latter two are private to PCube with
 // this class as their sole friend). Routing every mutation through one
 // class is what makes the epoch-stamping contract unbypassable: the cube
-// bumps the affected cells' DataEpochs inside ApplyChanges, and a cube-less
-// workbench gets the equivalent bump here, so both cache levels invalidate
-// exactly no matter how the batch reached the structures.
+// bumps the affected cells' DataEpochs inside ApplyChanges, so both cache
+// levels invalidate exactly no matter how the batch reached the structures.
 //
 // Two callers, same code path:
 //   * the Workbench maintenance thread, applying durable batches in bounded

@@ -226,7 +226,7 @@ TEST(CacheConcurrencyTest, ResultCacheProtocolUnderRacingBumps) {
 
   DataEpoch epoch;
   const size_t budget = 256 * 1024;
-  ResultCache cache(budget, &epoch, /*enable_containment=*/true);
+  ResultCache cache(budget, &epoch);
 
   auto worker = [&](int id) {
     for (int i = 0; i < 2000; ++i) {

@@ -243,7 +243,7 @@ TEST(ResultCacheUnitTest, OnlyAffectedCellsGoStale) {
   Dataset data = GenerateSynthetic(config);
 
   DataEpoch epoch;
-  ResultCache cache(1 << 20, &epoch, /*enable_containment=*/false);
+  ResultCache cache(1 << 20, &epoch);
   QueryRequest qa = QueryRequest::Skyline({{0, 3}});
   QueryRequest qb = QueryRequest::Skyline({{0, 4}});
   QueryResponse resp;
@@ -275,7 +275,7 @@ TEST(ResultCacheUnitTest, EvictionKeepsBytesWithinBudget) {
 
   DataEpoch epoch;
   const size_t budget = 64 * 1024;
-  ResultCache cache(budget, &epoch, /*enable_containment=*/false);
+  ResultCache cache(budget, &epoch);
   uint64_t evictions_before = CounterValue("pcube_result_cache_evictions_total");
 
   QueryResponse fat;

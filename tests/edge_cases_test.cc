@@ -1,6 +1,6 @@
 // Edge-case and failure-injection tests across the stack: degenerate
 // datasets, duplicate points, extreme parameters, tiny buffer pools, and
-// store compaction under churn.
+// signature-store churn.
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -162,15 +162,15 @@ TEST(EdgeCaseTest, QueriesSurviveTinyBufferPool) {
   EXPECT_EQ(SkylineTids(*sky), NaiveSkyline((*wb)->data(), preds));
 }
 
-TEST(EdgeCaseTest, StoreCompactionUnderChurn) {
+TEST(EdgeCaseTest, StoreChurnRoundTrips) {
   MemoryPageManager pm;
   IoStats stats;
   BufferPool pool(&pm, 4096, &stats);
   auto store = SignatureStore::Create(&pool);
   ASSERT_TRUE(store.ok());
   Random rng(21);
-  // Churn: grow and shrink many cell signatures repeatedly so in-place
-  // rewrites leak slot space.
+  // Churn: grow and shrink many cell signatures repeatedly, so partials are
+  // overwritten in place, grow into their page's tail, move and tombstone.
   std::vector<Signature> current;
   for (int round = 0; round < 6; ++round) {
     current.clear();
@@ -186,23 +186,12 @@ TEST(EdgeCaseTest, StoreCompactionUnderChurn) {
       current.push_back(sig.Clone());
     }
   }
-  uint64_t pages_before = store->num_pages();
-  size_t free_before = pm.num_free();
-  ASSERT_TRUE(store->Compact().ok());
-  EXPECT_LT(store->num_pages(), pages_before);
-  EXPECT_GT(pm.num_free(), free_before);
-  // Content unchanged after compaction.
+  // Every cell reads back exactly its last signature.
   for (uint64_t cell = 0; cell < 40; ++cell) {
     auto loaded = store->LoadFull(100 + cell, 12, 3);
     ASSERT_TRUE(loaded.ok());
     EXPECT_TRUE(loaded->Equals(current[cell])) << "cell " << cell;
   }
-  // New allocations reuse freed pages: total page count stops growing.
-  uint64_t pm_pages = pm.NumPages();
-  Signature extra(12, 3);
-  extra.SetPath({1, 1, 1});
-  ASSERT_TRUE(store->Put(999, extra).ok());
-  EXPECT_EQ(pm.NumPages(), pm_pages);
 }
 
 TEST(EdgeCaseTest, EmptyPredicateSkylineEqualsGlobalSkyline) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 
 #include "data/generators.h"
 #include "query/reference.h"
@@ -27,6 +28,7 @@ class PersistenceTest : public ::testing::Test {
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".wal").c_str());  // the WAL sidecar
+    std::remove((path_ + ".chk").c_str());  // the checksum sidecar
   }
 
   Dataset MakeData(uint64_t seed) {
@@ -37,6 +39,30 @@ class PersistenceTest : public ::testing::Test {
     config.bool_cardinality = 4;
     config.seed = seed;
     return GenerateSynthetic(config);
+  }
+
+  /// Saves a fresh database at path_, then lets `edit` change its catalog
+  /// and writes it back through the checksum layer: the content is damaged
+  /// but every page's CRC is valid, so only the shape checks can object.
+  void SaveThenRewriteCatalog(const std::function<void(CatalogData*)>& edit) {
+    {
+      WorkbenchOptions options;
+      options.file_path = path_;
+      auto wb = Workbench::Build(MakeData(76), options);
+      ASSERT_TRUE(wb.ok()) << wb.status().ToString();
+      ASSERT_TRUE((*wb)->Save().ok());
+    }
+    auto fpm = FilePageManager::Open(path_, /*truncate=*/false);
+    ASSERT_TRUE(fpm.ok());
+    ChecksumPageManager pm(std::move(*fpm), path_ + ".chk");
+    IoStats stats;
+    BufferPool pool(&pm, 64, &stats);
+    auto catalog = LoadCatalog(&pool, 0);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    edit(&*catalog);
+    ASSERT_TRUE(SaveCatalog(&pool, 0, *catalog).ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE(pm.SyncSidecar().ok());
   }
 };
 
@@ -141,6 +167,43 @@ TEST_F(PersistenceTest, SaveRequiresFileBacking) {
   auto wb = Workbench::Build(MakeData(75), WorkbenchOptions{});
   ASSERT_TRUE(wb.ok());
   EXPECT_TRUE((*wb)->Save().IsInvalidArgument());
+}
+
+TEST_F(PersistenceTest, SaveRefusesWhatOpenCannotRestore) {
+  // The catalog describes atomic cuboids only and no Bloom filters, so a
+  // cube with either would reopen as a different, broken cube.
+  PCubeOptions composite;
+  composite.materialize_max_dims = 2;
+  PCubeOptions bloom;
+  bloom.build_bloom = true;
+  for (const PCubeOptions& pcube : {composite, bloom}) {
+    WorkbenchOptions options;
+    options.file_path = path_;
+    options.pcube = pcube;
+    auto wb = Workbench::Build(MakeData(77), options);
+    ASSERT_TRUE(wb.ok()) << wb.status().ToString();
+    EXPECT_FALSE((*wb)->cube()->persistable());
+    Status saved = (*wb)->Save();
+    EXPECT_TRUE(saved.IsInvalidArgument()) << saved.ToString();
+  }
+}
+
+TEST_F(PersistenceTest, OpenRejectsCatalogWithoutCube) {
+  SaveThenRewriteCatalog([](CatalogData* c) { c->has_cube = false; });
+  auto wb = Workbench::Open(path_);
+  ASSERT_FALSE(wb.ok());
+  EXPECT_TRUE(wb.status().IsCorruption()) << wb.status().ToString();
+  EXPECT_NE(wb.status().ToString().find("cube"), std::string::npos)
+      << wb.status().ToString();
+}
+
+TEST_F(PersistenceTest, OpenRejectsCatalogMissingAnIndex) {
+  SaveThenRewriteCatalog([](CatalogData* c) { c->indices.pop_back(); });
+  auto wb = Workbench::Open(path_);
+  ASSERT_FALSE(wb.ok());
+  EXPECT_TRUE(wb.status().IsCorruption()) << wb.status().ToString();
+  EXPECT_NE(wb.status().ToString().find("indices"), std::string::npos)
+      << wb.status().ToString();
 }
 
 TEST_F(PersistenceTest, OpenRejectsGarbageFile) {

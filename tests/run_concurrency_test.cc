@@ -5,7 +5,7 @@
 // single workbench with a small buffer pool so pages evict under the
 // queries' pins. The writer only inserts rows whose boolean values no query
 // selects, so every answer must equal the naive scan of the initial data —
-// while the inserts still move the R-tree, bump structure epochs and churn
+// while the inserts still move the R-tree, bump the global epoch and churn
 // the caches underneath. Runs under TSan via scripts/ci.sh.
 #include <gtest/gtest.h>
 
