@@ -24,7 +24,7 @@ namespace {
 // ---------------------------------------------------------------- codecs
 
 void BM_CompressionScheme(benchmark::State& state, const char* scheme_name) {
-  Workbench* wb = CachedWorkbench2("ablation", [] {
+  Workbench* wb = CachedWorkbench("ablation", [] {
     return GenerateSynthetic(PaperConfig(TupleSweep()[0]));
   });
   auto paths = PathTable::Collect(*wb->tree());
@@ -261,7 +261,7 @@ void BM_Planner(benchmark::State& state, const char* mode) {
   // result cache would answer every repeat instantly, so it stays off.
   WorkbenchOptions options;
   options.result_cache_mb = 0;
-  Workbench* wb = CachedWorkbench2(
+  Workbench* wb = CachedWorkbench(
       "ablation_planner_" + std::to_string(c),
       [n, c] {
         SyntheticConfig config = PaperConfig(n);

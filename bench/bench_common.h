@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,23 +54,11 @@ inline SyntheticConfig PaperConfig(uint64_t num_tuples) {
 }
 
 /// Cache of built workbenches, keyed by a config string — figure benches
-/// re-query the same instance many times.
-inline Workbench* CachedWorkbench(const std::string& key, Dataset (*gen)(),
+/// re-query the same instance many times. `gen` builds the Dataset on the
+/// first call for a key; every caller in a bench binary shares one cache.
+inline Workbench* CachedWorkbench(const std::string& key,
+                                  const std::function<Dataset()>& gen,
                                   WorkbenchOptions options = {}) {
-  static std::map<std::string, std::unique_ptr<Workbench>>* cache =
-      new std::map<std::string, std::unique_ptr<Workbench>>();
-  auto it = cache->find(key);
-  if (it == cache->end()) {
-    auto wb = Workbench::Build(gen(), options);
-    PCUBE_CHECK(wb.ok()) << wb.status().ToString();
-    it = cache->emplace(key, std::move(*wb)).first;
-  }
-  return it->second.get();
-}
-
-template <typename GenFn>
-Workbench* CachedWorkbench2(const std::string& key, GenFn gen,
-                            WorkbenchOptions options = {}) {
   static std::map<std::string, std::unique_ptr<Workbench>>* cache =
       new std::map<std::string, std::unique_ptr<Workbench>>();
   auto it = cache->find(key);
@@ -123,17 +112,22 @@ struct MeasuredRun {
   uint64_t nodes_expanded = 0;
 };
 
+/// The Signature arm: Workbench::Run on the signature plan (Algorithm 1)
+/// from a cold pool, the path the CLI and the server run. The forced hint
+/// bypasses the L1 result cache in both directions.
 inline MeasuredRun RunSignatureSkyline(Workbench* wb, const PredicateSet& preds) {
+  QueryRequest request = QueryRequest::Skyline(preds);
+  request.hint = PlanHint::kSignature;
   PCUBE_CHECK_OK(wb->ColdStart());
   Timer t;
-  auto out = wb->SignatureSkyline(preds);
+  auto out = wb->Run(request);
   PCUBE_CHECK(out.ok()) << out.status().ToString();
   MeasuredRun run;
   run.seconds = t.ElapsedSeconds();
   run.sig_seconds = out->counters.sig_seconds;
-  run.io = wb->IoSince();
+  run.io = out->io;
   run.heap_peak = out->counters.heap_peak;
-  run.result_size = out->skyline.size();
+  run.result_size = out->tids.size();
   run.nodes_expanded = out->counters.nodes_expanded;
   return run;
 }

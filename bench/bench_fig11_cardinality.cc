@@ -11,7 +11,7 @@ namespace {
 
 Workbench* WorkbenchForC(uint32_t c) {
   uint64_t n = TupleSweep()[0] * 2;  // stands in for the paper's T = 1M
-  return CachedWorkbench2("fig11/" + std::to_string(c), [n, c] {
+  return CachedWorkbench("fig11/" + std::to_string(c), [n, c] {
     SyntheticConfig config = PaperConfig(n);
     config.bool_cardinality = c;
     return GenerateSynthetic(config);

@@ -11,7 +11,7 @@ namespace {
 
 Workbench* WorkbenchForDp(int dp) {
   uint64_t n = TupleSweep()[0] * 2;
-  return CachedWorkbench2("fig12/" + std::to_string(dp), [n, dp] {
+  return CachedWorkbench("fig12/" + std::to_string(dp), [n, dp] {
     SyntheticConfig config = PaperConfig(n);
     config.num_pref = dp;
     return GenerateSynthetic(config);

@@ -14,7 +14,7 @@ namespace pcube::bench {
 namespace {
 
 Workbench* CoverTypeWorkbench() {
-  return CachedWorkbench2("fig14", [] {
+  return CachedWorkbench("fig14", [] {
     CoverTypeConfig config;
     config.num_tuples = 58101 * Scale();  // 1/10 of the real row count per scale unit
     return GenerateCoverTypeSurrogate(config);

@@ -11,7 +11,7 @@ namespace pcube::bench {
 namespace {
 
 Workbench* CoverTypeWorkbench() {
-  return CachedWorkbench2("fig15", [] {
+  return CachedWorkbench("fig15", [] {
     CoverTypeConfig config;
     config.num_tuples = 58101 * Scale();
     return GenerateCoverTypeSurrogate(config);

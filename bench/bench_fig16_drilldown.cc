@@ -14,7 +14,7 @@ namespace pcube::bench {
 namespace {
 
 Workbench* CoverTypeWorkbench() {
-  return CachedWorkbench2("fig16", [] {
+  return CachedWorkbench("fig16", [] {
     CoverTypeConfig config;
     config.num_tuples = 58101 * Scale();
     return GenerateCoverTypeSurrogate(config);

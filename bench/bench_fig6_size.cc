@@ -13,7 +13,7 @@ namespace {
 void BM_MaterializedSize(benchmark::State& state) {
   uint64_t n = static_cast<uint64_t>(state.range(0));
   std::string key = "fig6/" + std::to_string(n);
-  Workbench* wb = CachedWorkbench2(key, [n] {
+  Workbench* wb = CachedWorkbench(key, [n] {
     return GenerateSynthetic(PaperConfig(n));
   });
   for (auto _ : state) {

@@ -11,7 +11,7 @@ namespace pcube::bench {
 namespace {
 
 Workbench* WorkbenchForT(uint64_t n) {
-  return CachedWorkbench2("fig8/" + std::to_string(n), [n] {
+  return CachedWorkbench("fig8/" + std::to_string(n), [n] {
     return GenerateSynthetic(PaperConfig(n));
   });
 }

@@ -15,7 +15,7 @@ namespace {
 
 void BM_SkylineIo(benchmark::State& state) {
   uint64_t n = static_cast<uint64_t>(state.range(0));
-  Workbench* wb = CachedWorkbench2("fig9/" + std::to_string(n), [n] {
+  Workbench* wb = CachedWorkbench("fig9/" + std::to_string(n), [n] {
     return GenerateSynthetic(PaperConfig(n));
   });
   PredicateSet preds = OnePredicate(100);

@@ -62,7 +62,7 @@ void BM_BitmapDecode(benchmark::State& state) {
 BENCHMARK(BM_BitmapDecode)->Arg(128)->Arg(2048);
 
 void BM_SignatureProbe(benchmark::State& state) {
-  Workbench* wb = CachedWorkbench2("micro", [] {
+  Workbench* wb = CachedWorkbench("micro", [] {
     return GenerateSynthetic(PaperConfig(50000));
   });
   auto probe = wb->cube()->MakeProbe(OnePredicate(100));
@@ -104,7 +104,7 @@ void BM_BPlusTreeGet(benchmark::State& state) {
 BENCHMARK(BM_BPlusTreeGet);
 
 void BM_RTreeNodeRead(benchmark::State& state) {
-  Workbench* wb = CachedWorkbench2("micro", [] {
+  Workbench* wb = CachedWorkbench("micro", [] {
     return GenerateSynthetic(PaperConfig(50000));
   });
   for (auto _ : state) {
@@ -116,14 +116,15 @@ void BM_RTreeNodeRead(benchmark::State& state) {
 BENCHMARK(BM_RTreeNodeRead);
 
 void BM_SkylineQueryEndToEnd(benchmark::State& state) {
-  Workbench* wb = CachedWorkbench2("micro", [] {
+  Workbench* wb = CachedWorkbench("micro", [] {
     return GenerateSynthetic(PaperConfig(50000));
   });
-  PredicateSet preds = OnePredicate(100);
+  QueryRequest request = QueryRequest::Skyline(OnePredicate(100));
+  request.hint = PlanHint::kSignature;  // bypasses the L1 result cache
   for (auto _ : state) {
-    auto out = wb->SignatureSkyline(preds);
+    auto out = wb->Run(request);
     PCUBE_CHECK(out.ok());
-    benchmark::DoNotOptimize(out->skyline.size());
+    benchmark::DoNotOptimize(out->tids.size());
   }
 }
 BENCHMARK(BM_SkylineQueryEndToEnd)->Unit(benchmark::kMillisecond);

@@ -54,39 +54,37 @@ int main(int argc, char** argv) {
   Workbench& w = **wb;
   PredicateSet in_city{{kCity, 7}};
 
-  // 1. Ordinary skyline: the price/distance trade-off frontier in city 7.
-  auto sky = w.SignatureSkyline(in_city);
+  // 1. Ordinary skyline: the price/distance trade-off frontier in city 7,
+  // on the signature plan.
+  QueryRequest skyline = QueryRequest::Skyline(in_city);
+  skyline.hint = PlanHint::kSignature;
+  auto sky = w.Run(skyline);
   PCUBE_CHECK(sky.ok());
   std::printf("skyline of city 7: %zu hotels on the price/distance frontier\n",
-              sky->skyline.size());
+              sky->tids.size());
 
   // 2. k-skyband: hotels dominated by fewer than 3 others — the shortlist
-  // with backup options when frontier hotels sell out.
+  // with backup options when frontier hotels sell out. Skybands and dynamic
+  // skylines always run on the signature plan.
   {
-    auto probe = w.cube()->MakeProbe(in_city);
-    PCUBE_CHECK(probe.ok());
     SkylineQueryOptions options;
     options.skyband_k = 3;
-    SkylineEngine engine(w.tree(), probe->get(), nullptr, options);
-    auto band = engine.Run();
+    auto band = w.Run(QueryRequest::Skyline(in_city, options));
     PCUBE_CHECK(band.ok());
     std::printf("3-skyband of city 7: %zu hotels (skyline + backups)\n",
-                band->skyline.size());
+                band->tids.size());
   }
 
   // 3. Dynamic skyline around a reference hotel: "alternatives to the one I
   // saw at (price 0.35, distance 0.20) that are closer to it in every
   // respect than each other".
   {
-    auto probe = w.cube()->MakeProbe(in_city);
-    PCUBE_CHECK(probe.ok());
     SkylineQueryOptions options;
     options.origin = {0.35f, 0.20f};
-    SkylineEngine engine(w.tree(), probe->get(), nullptr, options);
-    auto dynamic = engine.Run();
+    auto dynamic = w.Run(QueryRequest::Skyline(in_city, options));
     PCUBE_CHECK(dynamic.ok());
     std::printf("dynamic skyline around (0.35, 0.20): %zu alternatives\n",
-                dynamic->skyline.size());
+                dynamic->tids.size());
   }
 
   // 4. Convex hull: the hotels that are optimal for SOME weighting of

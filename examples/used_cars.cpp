@@ -12,6 +12,7 @@
 //   ./used_cars [num_cars]
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "common/random.h"
@@ -71,7 +72,10 @@ int main(int argc, char** argv) {
   // alpha balances the two criteria.
   PredicateSet preds{{kType, 0}, {kColor, 0}};
   const double alpha = 0.7;
-  WeightedL2Ranking f({15.0 / 60.0, 30.0 / 200.0}, {1.0, alpha});
+  auto ranking = std::make_shared<WeightedL2Ranking>(
+      std::vector<double>{15.0 / 60.0, 30.0 / 200.0},
+      std::vector<double>{1.0, alpha});
+  const WeightedL2Ranking& f = *ranking;
   const size_t k = 10;
 
   std::printf("query: top %zu %s %s cars, expected price $15k / 30k miles "
@@ -79,19 +83,22 @@ int main(int argc, char** argv) {
               k, kColorNames[0], kTypeNames[0], alpha);
 
   // --- Signature (P-Cube) -------------------------------------------------
+  QueryRequest request = QueryRequest::TopK(preds, ranking, k);
+  request.hint = PlanHint::kSignature;
   PCUBE_CHECK_OK(w.ColdStart());
   Timer t;
-  auto sig = w.SignatureTopK(preds, f, k);
+  auto sig = w.Run(request);
   PCUBE_CHECK(sig.ok());
   double sig_ms = t.ElapsedMillis();
-  IoStats sig_io = w.IoSince();
+  const IoStats& sig_io = sig->io;
 
   std::printf("top-%zu results (P-Cube signature search):\n", k);
-  for (size_t i = 0; i < sig->results.size(); ++i) {
-    const SearchEntry& e = sig->results[i];
+  for (size_t i = 0; i < sig->tids.size(); ++i) {
+    const TupleId car = sig->tids[i];
     std::printf("  %2zu. car #%-8llu $%5.1fk  %6.1fk miles  (score %.5f)\n",
-                i + 1, static_cast<unsigned long long>(e.id),
-                PriceK(e.rect.min[0]), MileageK(e.rect.min[1]), e.key);
+                i + 1, static_cast<unsigned long long>(car),
+                PriceK(w.data().PrefValue(car, 0)),
+                MileageK(w.data().PrefValue(car, 1)), sig->scores[i]);
   }
 
   // --- baselines ----------------------------------------------------------
@@ -117,9 +124,9 @@ int main(int argc, char** argv) {
   double merge_ms = t.ElapsedMillis();
   IoStats merge_io = w.IoSince();
 
-  PCUBE_CHECK_EQ(sig->results.size(), rank->results.size());
-  for (size_t i = 0; i < sig->results.size(); ++i) {
-    PCUBE_CHECK(std::abs(sig->results[i].key - rank->results[i].key) < 1e-9)
+  PCUBE_CHECK_EQ(sig->scores.size(), rank->results.size());
+  for (size_t i = 0; i < sig->scores.size(); ++i) {
+    PCUBE_CHECK(std::abs(sig->scores[i] - rank->results[i].key) < 1e-9)
         << "methods disagree at rank " << i;
   }
 

@@ -41,14 +41,19 @@ class SignatureStore {
 
   static Result<SignatureStore> Create(BufferPool* pool);
 
-  /// Re-attaches to a previously populated store (catalog-driven reopen).
-  static SignatureStore Attach(BufferPool* pool, PageId index_root,
-                               uint64_t index_entries, uint64_t index_pages,
-                               std::map<CellId, uint32_t> dense,
-                               uint64_t num_partials, uint64_t num_pages,
-                               PageId append_page, uint32_t append_offset) {
-    SignatureStore store(
-        BPlusTree::Attach(pool, index_root, index_entries, index_pages), pool);
+  /// Re-attaches to a previously populated store (catalog-driven reopen);
+  /// fails as BPlusTree::Attach does on the directory's pages.
+  static Result<SignatureStore> Attach(BufferPool* pool, PageId index_root,
+                                       uint64_t index_entries,
+                                       uint64_t index_pages,
+                                       std::map<CellId, uint32_t> dense,
+                                       uint64_t num_partials,
+                                       uint64_t num_pages, PageId append_page,
+                                       uint32_t append_offset) {
+    auto index =
+        BPlusTree::Attach(pool, index_root, index_entries, index_pages);
+    if (!index.ok()) return index.status();
+    SignatureStore store(std::move(*index), pool);
     store.dense_ = std::move(dense);
     store.next_dense_ = store.dense_.empty()
                             ? 0

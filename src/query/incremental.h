@@ -7,10 +7,9 @@
 //   roll-up (predicates relaxed): results keep qualifying and their
 //     domination pruning stays valid, so  c_heap = result ∪ b_list.
 //
-// Top-k runs additionally carry the unexamined heap frontier (`remaining`),
-// which must re-enter the heap in both directions; score-pruned d_list
-// entries stay pruned under roll-up because the k-th best score can only
-// improve.
+// Top-k runs have no d_list (the search stops at the k-th result, before
+// score pruning applies); they carry the unexamined heap frontier
+// (`remaining`) instead, which must re-enter the heap in both directions.
 //
 // The seeds below feed SkylineEngine::RunFrom / TopKEngine::RunFrom, which
 // re-apply the new query's prune() to every entry ("the size of c_heap can
@@ -36,7 +35,6 @@ inline std::vector<SearchEntry> RollUpSeed(const SkylineOutput& prev) {
 
 inline std::vector<SearchEntry> DrillDownSeed(const TopKOutput& prev) {
   std::vector<SearchEntry> seed = prev.results;
-  seed.insert(seed.end(), prev.d_list.begin(), prev.d_list.end());
   seed.insert(seed.end(), prev.remaining.begin(), prev.remaining.end());
   return seed;
 }
@@ -57,7 +55,8 @@ inline std::vector<SearchEntry> RollUpSeed(const TopKOutput& prev) {
 //     stronger) predicate — append them to the run's b_list;
 //   after a roll-up, the previous d_list entries stay dominated (their
 //     dominators qualify under the relaxed predicate, and domination is
-//     transitive) — append them to the run's d_list.
+//     transitive) — append them to the run's d_list. A top-k roll-up has
+//     no d_list, so its run needs no merge.
 // Use these whenever more than one incremental step follows a fresh query.
 
 inline SkylineOutput MergeAfterDrillDown(SkylineOutput run,
@@ -74,11 +73,6 @@ inline SkylineOutput MergeAfterRollUp(SkylineOutput run,
 
 inline TopKOutput MergeAfterDrillDown(TopKOutput run, const TopKOutput& prev) {
   run.b_list.insert(run.b_list.end(), prev.b_list.begin(), prev.b_list.end());
-  return run;
-}
-
-inline TopKOutput MergeAfterRollUp(TopKOutput run, const TopKOutput& prev) {
-  run.d_list.insert(run.d_list.end(), prev.d_list.begin(), prev.d_list.end());
   return run;
 }
 

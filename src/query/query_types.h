@@ -78,10 +78,10 @@ struct SkylineOutput {
 struct TopKOutput {
   /// At most k data entries in ascending score (entry.key = exact score).
   std::vector<SearchEntry> results;
-  /// Empty when the engine ran with PrunedLists::kDrop. d_list stays empty:
-  /// the search stops at the k-th result, before score pruning can apply.
+  /// Entries pruned by boolean predicates; empty when the engine ran with
+  /// PrunedLists::kDrop. There is no d_list: the search stops at the k-th
+  /// result, before score pruning can apply.
   std::vector<SearchEntry> b_list;
-  std::vector<SearchEntry> d_list;
   /// Heap contents left unexamined when the k-th result was found; needed to
   /// seed incremental queries.
   std::vector<SearchEntry> remaining;

@@ -53,13 +53,13 @@ class Reader {
   Status U32(uint32_t* v) { return Fixed(v); }
   Status U64(uint64_t* v) { return Fixed(v); }
   Status F32(float* v) {
-    uint32_t bits;
+    uint32_t bits = 0;
     PCUBE_RETURN_NOT_OK(Fixed(&bits));
     std::memcpy(v, &bits, sizeof(*v));
     return Status::OK();
   }
   Status F64(double* v) {
-    uint64_t bits;
+    uint64_t bits = 0;
     PCUBE_RETURN_NOT_OK(Fixed(&bits));
     std::memcpy(v, &bits, sizeof(*v));
     return Status::OK();
@@ -117,7 +117,7 @@ Status ReadDoubleList(Reader* r, size_t n, const char* what,
   out->clear();
   out->reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    double v;
+    double v = 0;
     PCUBE_RETURN_NOT_OK(ReadFiniteF64(r, what, &v));
     out->push_back(v);
   }
@@ -307,7 +307,7 @@ Result<std::string> EncodeQuery(const QueryEnvelope& envelope) {
 
 Status DecodeQuery(const uint8_t* data, size_t size, QueryEnvelope* out) {
   Reader r(data, size);
-  uint8_t tenant_len;
+  uint8_t tenant_len = 0;
   PCUBE_RETURN_NOT_OK(r.U8(&tenant_len));
   if (tenant_len > kMaxTenantBytes) {
     return Status::InvalidArgument("tenant id too long");
@@ -318,7 +318,7 @@ Status DecodeQuery(const uint8_t* data, size_t size, QueryEnvelope* out) {
   }
 
   QueryRequest q;
-  uint8_t kind;
+  uint8_t kind = 0;
   PCUBE_RETURN_NOT_OK(r.U8(&kind));
   if (kind > 1) return Status::InvalidArgument("unknown query kind");
   q.kind = kind == 0 ? QueryRequest::Kind::kSkyline : QueryRequest::Kind::kTopK;
@@ -327,14 +327,14 @@ Status DecodeQuery(const uint8_t* data, size_t size, QueryEnvelope* out) {
     return Status::InvalidArgument("deadline_ms exceeds the wire cap");
   }
 
-  uint16_t npreds;
+  uint16_t npreds = 0;
   PCUBE_RETURN_NOT_OK(r.U16(&npreds));
   if (npreds > kMaxPredicates) {
     return Status::InvalidArgument("too many predicates");
   }
   for (uint16_t i = 0; i < npreds; ++i) {
-    uint16_t dim;
-    uint32_t value;
+    uint16_t dim = 0;
+    uint32_t value = 0;
     PCUBE_RETURN_NOT_OK(r.U16(&dim));
     PCUBE_RETURN_NOT_OK(r.U32(&value));
     if (dim > kMaxDimIndex) {
@@ -344,45 +344,45 @@ Status DecodeQuery(const uint8_t* data, size_t size, QueryEnvelope* out) {
   }
 
   if (q.kind == QueryRequest::Kind::kSkyline) {
-    uint16_t npref;
+    uint16_t npref = 0;
     PCUBE_RETURN_NOT_OK(r.U16(&npref));
     if (npref > kMaxDims) return Status::InvalidArgument("too many pref dims");
     q.skyline.pref_dims.reserve(npref);
     for (uint16_t i = 0; i < npref; ++i) {
-      uint16_t d;
+      uint16_t d = 0;
       PCUBE_RETURN_NOT_OK(r.U16(&d));
       if (d > kMaxDimIndex) {
         return Status::InvalidArgument("pref dim out of range");
       }
       q.skyline.pref_dims.push_back(static_cast<int>(d));
     }
-    uint16_t norigin;
+    uint16_t norigin = 0;
     PCUBE_RETURN_NOT_OK(r.U16(&norigin));
     if (norigin > kMaxDims) {
       return Status::InvalidArgument("origin has too many dims");
     }
     q.skyline.origin.reserve(norigin);
     for (uint16_t i = 0; i < norigin; ++i) {
-      float v;
+      float v = 0;
       PCUBE_RETURN_NOT_OK(r.F32(&v));
       if (!std::isfinite(v)) {
         return Status::InvalidArgument("origin coordinate is not finite");
       }
       q.skyline.origin.push_back(v);
     }
-    uint32_t band;
+    uint32_t band = 0;
     PCUBE_RETURN_NOT_OK(r.U32(&band));
     if (band < 1 || band > kMaxSkybandK) {
       return Status::InvalidArgument("skyband_k out of range");
     }
     q.skyline.skyband_k = band;
   } else {
-    uint64_t k;
+    uint64_t k = 0;
     PCUBE_RETURN_NOT_OK(r.U64(&k));
     if (k < 1 || k > kMaxK) return Status::InvalidArgument("k out of range");
     q.k = k;
-    uint8_t rank_kind;
-    uint16_t ndims;
+    uint8_t rank_kind = 0;
+    uint16_t ndims = 0;
     PCUBE_RETURN_NOT_OK(r.U8(&rank_kind));
     PCUBE_RETURN_NOT_OK(r.U16(&ndims));
     if (ndims < 1 || ndims > kMaxDims) {
@@ -401,7 +401,7 @@ Status DecodeQuery(const uint8_t* data, size_t size, QueryEnvelope* out) {
                                                         std::move(weights));
         break;
       case kRankMinkowski: {
-        double p;
+        double p = 0;
         PCUBE_RETURN_NOT_OK(ReadFiniteF64(&r, "minkowski p", &p));
         if (p < 1) return Status::InvalidArgument("minkowski p must be >= 1");
         PCUBE_RETURN_NOT_OK(ReadDoubleList(&r, ndims, "target", &target));
@@ -439,7 +439,7 @@ Result<std::string> EncodeWrite(const WriteEnvelope& envelope) {
 
 Status DecodeWrite(const uint8_t* data, size_t size, WriteEnvelope* out) {
   Reader r(data, size);
-  uint8_t tenant_len;
+  uint8_t tenant_len = 0;
   PCUBE_RETURN_NOT_OK(r.U8(&tenant_len));
   if (tenant_len > kMaxTenantBytes) {
     return Status::InvalidArgument("tenant id too long");
@@ -476,7 +476,7 @@ Status DecodeWriteAck(const uint8_t* data, size_t size, WriteResult* out) {
     return Status::Corruption("commit_seconds is not a finite duration");
   }
   PCUBE_RETURN_NOT_OK(r.U32(&out->group_size));
-  uint8_t durable;
+  uint8_t durable = 0;
   PCUBE_RETURN_NOT_OK(r.U8(&durable));
   if (durable > 1) return Status::Corruption("durable flag out of range");
   out->durable = durable != 0;
@@ -510,7 +510,7 @@ Status DecodeResultHeader(const uint8_t* data, size_t size,
   Reader r(data, size);
   PCUBE_RETURN_NOT_OK(r.U64(&out->trace_id));
   PCUBE_RETURN_NOT_OK(r.U64(&out->result_count));
-  uint8_t has_scores, degraded;
+  uint8_t has_scores = 0, degraded = 0;
   PCUBE_RETURN_NOT_OK(r.U8(&has_scores));
   PCUBE_RETURN_NOT_OK(r.U8(&out->plan));
   PCUBE_RETURN_NOT_OK(r.U8(&out->cache));
@@ -560,8 +560,8 @@ Status DecodeResultChunk(const uint8_t* data, size_t size, bool has_scores,
                          std::vector<TupleId>* tids,
                          std::vector<double>* scores) {
   Reader r(data, size);
-  uint32_t count;
-  uint8_t chunk_scores;
+  uint32_t count = 0;
+  uint8_t chunk_scores = 0;
   PCUBE_RETURN_NOT_OK(r.U32(&count));
   PCUBE_RETURN_NOT_OK(r.U8(&chunk_scores));
   if (count < 1 || count > kChunkTuples) {
@@ -571,13 +571,13 @@ Status DecodeResultChunk(const uint8_t* data, size_t size, bool has_scores,
     return Status::Corruption("chunk score flag contradicts result header");
   }
   for (uint32_t i = 0; i < count; ++i) {
-    uint64_t tid;
+    uint64_t tid = 0;
     PCUBE_RETURN_NOT_OK(r.U64(&tid));
     tids->push_back(tid);
   }
   if (has_scores) {
     for (uint32_t i = 0; i < count; ++i) {
-      double v;
+      double v = 0;
       PCUBE_RETURN_NOT_OK(r.F64(&v));
       scores->push_back(v);
     }
@@ -598,8 +598,8 @@ std::string EncodeError(const Status& status) {
 
 Status DecodeError(const uint8_t* data, size_t size) {
   Reader r(data, size);
-  uint8_t code;
-  uint16_t len;
+  uint8_t code = 0;
+  uint16_t len = 0;
   PCUBE_RETURN_NOT_OK(r.U8(&code));
   PCUBE_RETURN_NOT_OK(r.U16(&len));
   if (len > kMaxErrorBytes) {

@@ -18,12 +18,14 @@ class BooleanIndex {
   static Result<BooleanIndex> Build(BufferPool* pool, const Dataset& data,
                                     int dim);
 
-  /// Re-attaches to a previously built index (catalog-driven reopen).
-  static BooleanIndex Attach(BufferPool* pool, int dim, PageId root,
-                             uint64_t num_entries, uint64_t num_pages,
-                             uint64_t next_seq) {
-    BooleanIndex index(
-        BPlusTree::Attach(pool, root, num_entries, num_pages), dim);
+  /// Re-attaches to a previously built index (catalog-driven reopen); fails
+  /// as BPlusTree::Attach does.
+  static Result<BooleanIndex> Attach(BufferPool* pool, int dim, PageId root,
+                                     uint64_t num_entries, uint64_t num_pages,
+                                     uint64_t next_seq) {
+    auto tree = BPlusTree::Attach(pool, root, num_entries, num_pages);
+    if (!tree.ok()) return tree.status();
+    BooleanIndex index(std::move(*tree), dim);
     index.next_seq_ = next_seq;
     return index;
   }

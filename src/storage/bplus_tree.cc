@@ -100,20 +100,19 @@ Result<BPlusTree> BPlusTree::Create(BufferPool* pool, IoCategory cat) {
   return tree;
 }
 
-BPlusTree BPlusTree::Attach(BufferPool* pool, PageId root, uint64_t num_entries,
-                            uint64_t num_pages, IoCategory cat) {
+Result<BPlusTree> BPlusTree::Attach(BufferPool* pool, PageId root,
+                                    uint64_t num_entries, uint64_t num_pages,
+                                    IoCategory cat) {
   BPlusTree tree(pool, cat);
   tree.root_ = root;
   tree.num_entries_ = num_entries;
   tree.num_pages_ = num_pages;
-  // Height is rediscovered lazily by walking to a leaf on first access; for
-  // simplicity we walk now.
-
+  // The height is not in the catalog: walk the leftmost path to a leaf.
   PageId pid = root;
   int h = 0;
   while (true) {
     auto ref = pool->Get(pid, cat);
-    PCUBE_CHECK(ref.ok());
+    if (!ref.ok()) return ref.status();
     if (Kind(**ref) == 1) break;
     pid = Child(**ref, 0);
     ++h;

@@ -30,10 +30,12 @@ class BPlusTree {
                                   IoCategory cat = IoCategory::kBtree);
 
   /// Re-attaches to an existing tree given its root page (e.g. after reopening
-  /// a FilePageManager).
-  static BPlusTree Attach(BufferPool* pool, PageId root, uint64_t num_entries,
-                          uint64_t num_pages = 0,
-                          IoCategory cat = IoCategory::kBtree);
+  /// a FilePageManager). Walks from the root to the leftmost leaf to learn
+  /// the height, so a damaged page on that walk fails here with the read's
+  /// status (Corruption on a checksum mismatch).
+  static Result<BPlusTree> Attach(BufferPool* pool, PageId root,
+                                  uint64_t num_entries, uint64_t num_pages = 0,
+                                  IoCategory cat = IoCategory::kBtree);
 
   /// Builds a tree bottom-up from key-ascending (key, value) pairs. Much
   /// faster than repeated Insert and produces full pages; used by the

@@ -383,10 +383,12 @@ Result<std::unique_ptr<Workbench>> Workbench::Open(
   wb->table_ = std::make_unique<TableStore>(TableStore::Attach(
       wb->pool_.get(), c.num_bool, c.num_pref, c.num_tuples, c.table_pages));
   for (size_t d = 0; d < c.indices.size(); ++d) {
-    wb->indices_.push_back(BooleanIndex::Attach(
+    auto index = BooleanIndex::Attach(
         wb->pool_.get(), static_cast<int>(d), c.indices[d].root,
         c.indices[d].num_entries, c.indices[d].num_pages,
-        c.indices[d].next_seq));
+        c.indices[d].next_seq);
+    if (!index.ok()) return index.status();
+    wb->indices_.push_back(std::move(*index));
   }
   RTreeOptions rtree_options;
   rtree_options.dims = c.num_pref;
@@ -394,13 +396,14 @@ Result<std::unique_ptr<Workbench>> Workbench::Open(
   wb->tree_ = std::make_unique<RStarTree>(
       RStarTree::Attach(wb->pool_.get(), rtree_options, c.rtree_root,
                         c.rtree_height, c.rtree_entries, c.rtree_pages));
-  auto store = std::make_unique<SignatureStore>(SignatureStore::Attach(
+  auto store = SignatureStore::Attach(
       wb->pool_.get(), c.sig_index_root, c.sig_index_entries,
       c.sig_index_pages, c.sig_dense, c.sig_num_partials, c.sig_num_pages,
-      c.sig_append_page, c.sig_append_offset));
+      c.sig_append_page, c.sig_append_offset);
+  if (!store.ok()) return store.status();
   wb->cube_ = std::make_unique<PCube>(PCube::Attach(
-      std::move(store), c.rtree_fanout, c.cube_levels, c.num_bool,
-      c.cube_cells));
+      std::make_unique<SignatureStore>(std::move(*store)), c.rtree_fanout,
+      c.cube_levels, c.num_bool, c.cube_cells));
 
   wb->dictionaries_ = c.dictionaries;
   wb->tombstones_.insert(c.tombstones.begin(), c.tombstones.end());
@@ -826,27 +829,6 @@ Status Workbench::ExecuteBoolean(
     resp->scores = run->scores;
   }
   return Status::OK();
-}
-
-Result<SkylineOutput> Workbench::SignatureSkyline(const PredicateSet& preds,
-                                                  std::vector<int> pref_dims) {
-  ReaderLock structure_lock(&struct_mu_);
-  auto probe = cube_->MakeProbe(preds);
-  if (!probe.ok()) return probe.status();
-  SkylineQueryOptions options;
-  options.pref_dims = std::move(pref_dims);
-  SkylineEngine engine(tree_.get(), probe->get(), nullptr, options);
-  return engine.Run();
-}
-
-Result<TopKOutput> Workbench::SignatureTopK(const PredicateSet& preds,
-                                            const RankingFunction& f,
-                                            size_t k) {
-  ReaderLock structure_lock(&struct_mu_);
-  auto probe = cube_->MakeProbe(preds);
-  if (!probe.ok()) return probe.status();
-  TopKEngine engine(tree_.get(), probe->get(), nullptr, &f, k);
-  return engine.Run();
 }
 
 BatchOutput Workbench::RunBatch(const std::vector<BatchQuery>& queries,

@@ -260,13 +260,6 @@ class Workbench {
   /// The write-ahead log (always present; RAM-backed when file_path empty).
   Wal* wal() { return wal_.get(); }
 
-  /// Convenience: signature-based skyline with cold-cache accounting.
-  Result<SkylineOutput> SignatureSkyline(const PredicateSet& preds,
-                                         std::vector<int> pref_dims = {});
-  /// Convenience: signature-based top-k.
-  Result<TopKOutput> SignatureTopK(const PredicateSet& preds,
-                                   const RankingFunction& f, size_t k);
-
   /// Answers `queries` through Run() on `num_workers` threads; results come
   /// back in input order with merged I/O and latency quantiles, and one
   /// query's failure never poisons the batch. `query_log`, when non-null,

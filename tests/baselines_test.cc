@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
@@ -121,11 +122,11 @@ TEST_P(BaselinesTest, Lemma1ProxySignatureReadsNoMoreBlocks) {
   Random rng(90 + GetParam());
   for (int trial = 0; trial < 3; ++trial) {
     PredicateSet preds{{0, static_cast<uint32_t>(rng.Uniform(5))}};
-    auto sig = wb->SignatureSkyline(preds);
+    auto sig = RunSignature(*wb, QueryRequest::Skyline(preds));
     ASSERT_TRUE(sig.ok());
     auto dom = DominationFirstSkyline(*wb->tree(), *wb->table(), preds);
     ASSERT_TRUE(dom.ok());
-    EXPECT_EQ(SkylineTids(*sig), SkylineTids(*dom));
+    EXPECT_EQ(sig->tids, SkylineTids(*dom));
     // Lemma 1: signature pruning is a strict superset of domination pruning.
     EXPECT_LE(sig->counters.nodes_expanded, dom->counters.nodes_expanded);
     // And the signature method performs no random boolean verifications.

@@ -16,6 +16,7 @@
 #include "common/metrics.h"
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
@@ -389,28 +390,22 @@ TEST(FragmentCacheTest, DecodeOnceAcrossPoolClears) {
   PredicateSet preds{{0, 3}};
 
   ASSERT_TRUE(wb->ColdStart().ok());
-  auto cold = wb->SignatureSkyline(preds);
+  auto cold = RunSignature(*wb, QueryRequest::Skyline(preds));
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  IoStats first = wb->IoSince();
-  EXPECT_GT(first.ReadCount(IoCategory::kSignature), 0u);
+  EXPECT_GT(cold->io.ReadCount(IoCategory::kSignature), 0u);
 
   // Empty only the buffer pool: without L2 the rerun would re-fetch and
   // re-decode the signature pages; the fragment cache sits above the pool
   // and replays the decoded nodes instead.
   ASSERT_TRUE(wb->pool()->Clear().ok());
-  IoStats before = *wb->stats();
-  auto warm = wb->SignatureSkyline(preds);
+  auto warm = RunSignature(*wb, QueryRequest::Skyline(preds));
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  IoStats second = wb->stats()->Delta(before);
-  EXPECT_EQ(second.ReadCount(IoCategory::kSignature), 0u);
-  EXPECT_GT(second.ReadCount(IoCategory::kRtreeBlock), 0u);
+  EXPECT_EQ(warm->io.ReadCount(IoCategory::kSignature), 0u);
+  EXPECT_GT(warm->io.ReadCount(IoCategory::kRtreeBlock), 0u);
   EXPECT_GT(wb->fragment_cache()->entries(), 0u);
 
   // Same answer either way.
-  ASSERT_EQ(warm->skyline.size(), cold->skyline.size());
-  for (size_t i = 0; i < warm->skyline.size(); ++i) {
-    EXPECT_EQ(warm->skyline[i].id, cold->skyline[i].id);
-  }
+  EXPECT_EQ(warm->tids, cold->tids);
 }
 
 TEST(FragmentCacheTest, ColdStartDropsBothCacheLevels) {
@@ -418,8 +413,9 @@ TEST(FragmentCacheTest, ColdStartDropsBothCacheLevels) {
   PredicateSet preds{{0, 3}};
 
   ASSERT_TRUE(wb->ColdStart().ok());
-  ASSERT_TRUE(wb->SignatureSkyline(preds).ok());
-  const uint64_t cold_sig = wb->IoSince().ReadCount(IoCategory::kSignature);
+  auto cold = RunSignature(*wb, QueryRequest::Skyline(preds));
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const uint64_t cold_sig = cold->io.ReadCount(IoCategory::kSignature);
   EXPECT_GT(cold_sig, 0u);
   ASSERT_TRUE(wb->Run(QueryRequest::Skyline(preds)).ok());
   EXPECT_GT(wb->fragment_cache()->entries(), 0u);
@@ -430,8 +426,9 @@ TEST(FragmentCacheTest, ColdStartDropsBothCacheLevels) {
   // L1 answers nothing.
   ASSERT_TRUE(wb->ColdStart().ok());
   const uint64_t l2_hits = CounterValue("pcube_fragment_cache_hits_total");
-  ASSERT_TRUE(wb->SignatureSkyline(preds).ok());
-  EXPECT_EQ(wb->IoSince().ReadCount(IoCategory::kSignature), cold_sig);
+  auto recold = RunSignature(*wb, QueryRequest::Skyline(preds));
+  ASSERT_TRUE(recold.ok()) << recold.status().ToString();
+  EXPECT_EQ(recold->io.ReadCount(IoCategory::kSignature), cold_sig);
   EXPECT_EQ(CounterValue("pcube_fragment_cache_hits_total"), l2_hits);
   auto rerun = wb->Run(QueryRequest::Skyline(preds));
   ASSERT_TRUE(rerun.ok());

@@ -7,16 +7,15 @@
 #include "core/signature_store.h"
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
 namespace {
 
-std::vector<TupleId> SkylineTids(const SkylineOutput& out) {
-  std::vector<TupleId> tids;
-  for (const SearchEntry& e : out.skyline) tids.push_back(e.id);
-  std::sort(tids.begin(), tids.end());
-  return tids;
+// f = x + y over the two preference dimensions.
+std::shared_ptr<const LinearRanking> SumRanking() {
+  return std::make_shared<LinearRanking>(std::vector<double>{1.0, 1.0});
 }
 
 Dataset TinyDataset(std::vector<std::pair<uint32_t, std::vector<float>>> rows,
@@ -36,16 +35,16 @@ TEST(EdgeCaseTest, SingleTupleDataset) {
   Dataset data = TinyDataset({{0, {0.5f, 0.5f}}}, 2, 2);
   auto wb = Workbench::Build(std::move(data), WorkbenchOptions{});
   ASSERT_TRUE(wb.ok());
-  auto sky = (*wb)->SignatureSkyline({{0, 0}});
+  auto sky = RunSignature(**wb, QueryRequest::Skyline({{0, 0}}));
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(SkylineTids(*sky), (std::vector<TupleId>{0}));
-  auto none = (*wb)->SignatureSkyline({{0, 1}});
+  EXPECT_EQ(sky->tids, (std::vector<TupleId>{0}));
+  auto none = RunSignature(**wb, QueryRequest::Skyline({{0, 1}}));
   ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->skyline.empty());
-  LinearRanking f({1.0, 1.0});
-  auto topk = (*wb)->SignatureTopK({{0, 0}}, f, 10);
+  EXPECT_TRUE(none->tids.empty());
+  auto topk =
+      RunSignature(**wb, QueryRequest::TopK({{0, 0}}, SumRanking(), 10));
   ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(topk->results.size(), 1u);
+  EXPECT_EQ(topk->tids.size(), 1u);
 }
 
 TEST(EdgeCaseTest, AllIdenticalPoints) {
@@ -59,10 +58,10 @@ TEST(EdgeCaseTest, AllIdenticalPoints) {
   auto wb = Workbench::Build(std::move(data), options);
   ASSERT_TRUE(wb.ok());
   // No point dominates an identical point: everything is in the skyline.
-  auto sky = (*wb)->SignatureSkyline({{0, 0}});
+  auto sky = RunSignature(**wb, QueryRequest::Skyline({{0, 0}}));
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(sky->skyline.size(), 100u);
-  EXPECT_EQ(SkylineTids(*sky), NaiveSkyline((*wb)->data(), {{0, 0}}));
+  EXPECT_EQ(sky->tids.size(), 100u);
+  EXPECT_EQ(sky->tids, NaiveSkyline((*wb)->data(), {{0, 0}}));
 }
 
 TEST(EdgeCaseTest, DuplicatePointsTopK) {
@@ -74,12 +73,12 @@ TEST(EdgeCaseTest, DuplicatePointsTopK) {
   options.rtree.max_entries = 8;
   auto wb = Workbench::Build(std::move(data), options);
   ASSERT_TRUE(wb.ok());
-  LinearRanking f({0.5, 0.5});
-  auto topk = (*wb)->SignatureTopK({}, f, 60);
+  auto f = std::make_shared<LinearRanking>(std::vector<double>{0.5, 0.5});
+  auto topk = RunSignature(**wb, QueryRequest::TopK({}, f, 60));
   ASSERT_TRUE(topk.ok());
-  ASSERT_EQ(topk->results.size(), 60u);
-  for (int i = 0; i < 50; ++i) EXPECT_NEAR(topk->results[i].key, 0.1, 1e-6);
-  for (int i = 50; i < 60; ++i) EXPECT_NEAR(topk->results[i].key, 0.9, 1e-6);
+  ASSERT_EQ(topk->scores.size(), 60u);
+  for (int i = 0; i < 50; ++i) EXPECT_NEAR(topk->scores[i], 0.1, 1e-6);
+  for (int i = 50; i < 60; ++i) EXPECT_NEAR(topk->scores[i], 0.9, 1e-6);
 }
 
 TEST(EdgeCaseTest, KLargerThanMatches) {
@@ -91,22 +90,21 @@ TEST(EdgeCaseTest, KLargerThanMatches) {
   config.seed = 99;
   auto wb = Workbench::Build(GenerateSynthetic(config), WorkbenchOptions{});
   ASSERT_TRUE(wb.ok());
-  LinearRanking f({1.0, 1.0});
+  auto f = SumRanking();
   PredicateSet preds{{0, 5}};
-  auto naive = NaiveTopK((*wb)->data(), preds, f, 1000);
-  auto topk = (*wb)->SignatureTopK(preds, f, 1000);
+  auto naive = NaiveTopK((*wb)->data(), preds, *f, 1000);
+  auto topk = RunSignature(**wb, QueryRequest::TopK(preds, f, 1000));
   ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(topk->results.size(), naive.size());  // fewer than k matches
+  EXPECT_EQ(topk->tids.size(), naive.size());  // fewer than k matches
 }
 
 TEST(EdgeCaseTest, ZeroKTopK) {
   Dataset data = TinyDataset({{0, {0.5f, 0.5f}}}, 1, 2);
   auto wb = Workbench::Build(std::move(data), WorkbenchOptions{});
   ASSERT_TRUE(wb.ok());
-  LinearRanking f({1.0, 1.0});
-  auto topk = (*wb)->SignatureTopK({}, f, 0);
+  auto topk = RunSignature(**wb, QueryRequest::TopK({}, SumRanking(), 0));
   ASSERT_TRUE(topk.ok());
-  EXPECT_TRUE(topk->results.empty());
+  EXPECT_TRUE(topk->tids.empty());
 }
 
 TEST(EdgeCaseTest, OneDimensionalPreferenceSpace) {
@@ -122,9 +120,9 @@ TEST(EdgeCaseTest, OneDimensionalPreferenceSpace) {
   ASSERT_TRUE(wb.ok());
   // 1-d skyline = the minimum (plus exact ties).
   PredicateSet preds{{0, 2}};
-  auto sky = (*wb)->SignatureSkyline(preds);
+  auto sky = RunSignature(**wb, QueryRequest::Skyline(preds));
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(SkylineTids(*sky), NaiveSkyline((*wb)->data(), preds));
+  EXPECT_EQ(sky->tids, NaiveSkyline((*wb)->data(), preds));
 }
 
 TEST(EdgeCaseTest, HighDimensionalPreferenceSpace) {
@@ -139,9 +137,9 @@ TEST(EdgeCaseTest, HighDimensionalPreferenceSpace) {
   auto wb = Workbench::Build(GenerateSynthetic(config), options);
   ASSERT_TRUE(wb.ok());
   PredicateSet preds{{0, 1}};
-  auto sky = (*wb)->SignatureSkyline(preds);
+  auto sky = RunSignature(**wb, QueryRequest::Skyline(preds));
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(SkylineTids(*sky), NaiveSkyline((*wb)->data(), preds));
+  EXPECT_EQ(sky->tids, NaiveSkyline((*wb)->data(), preds));
 }
 
 TEST(EdgeCaseTest, QueriesSurviveTinyBufferPool) {
@@ -157,9 +155,9 @@ TEST(EdgeCaseTest, QueriesSurviveTinyBufferPool) {
   auto wb = Workbench::Build(GenerateSynthetic(config), options);
   ASSERT_TRUE(wb.ok());
   PredicateSet preds{{0, 1}};
-  auto sky = (*wb)->SignatureSkyline(preds);
+  auto sky = RunSignature(**wb, QueryRequest::Skyline(preds));
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(SkylineTids(*sky), NaiveSkyline((*wb)->data(), preds));
+  EXPECT_EQ(sky->tids, NaiveSkyline((*wb)->data(), preds));
 }
 
 TEST(EdgeCaseTest, StoreChurnRoundTrips) {
@@ -203,9 +201,9 @@ TEST(EdgeCaseTest, EmptyPredicateSkylineEqualsGlobalSkyline) {
   config.seed = 23;
   auto wb = Workbench::Build(GenerateSynthetic(config), WorkbenchOptions{});
   ASSERT_TRUE(wb.ok());
-  auto sky = (*wb)->SignatureSkyline({});
+  auto sky = RunSignature(**wb, QueryRequest::Skyline({}));
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(SkylineTids(*sky), NaiveSkyline((*wb)->data(), {}));
+  EXPECT_EQ(sky->tids, NaiveSkyline((*wb)->data(), {}));
 }
 
 }  // namespace

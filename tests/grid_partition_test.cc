@@ -2,21 +2,16 @@
 // §IV.B.1 plugs into the unchanged signature + engine machinery.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
 namespace {
-
-std::vector<TupleId> SkylineTids(const SkylineOutput& out) {
-  std::vector<TupleId> tids;
-  for (const SearchEntry& e : out.skyline) tids.push_back(e.id);
-  std::sort(tids.begin(), tids.end());
-  return tids;
-}
 
 TEST(GridPartitionTest, StructureHoldsEveryTuple) {
   SyntheticConfig config;
@@ -61,18 +56,18 @@ TEST(GridPartitionTest, QueriesMatchNaiveOnGridTemplate) {
   options.rtree.max_entries = 16;
   auto wb = Workbench::Build(GenerateSynthetic(config), options);
   ASSERT_TRUE(wb.ok());
-  LinearRanking f({0.4, 0.6});
+  auto f = std::make_shared<LinearRanking>(std::vector<double>{0.4, 0.6});
   for (uint32_t v = 0; v < 4; ++v) {
     PredicateSet preds{{0, v}};
-    auto sky = (*wb)->SignatureSkyline(preds);
+    auto sky = RunSignature(**wb, QueryRequest::Skyline(preds));
     ASSERT_TRUE(sky.ok());
-    EXPECT_EQ(SkylineTids(*sky), NaiveSkyline((*wb)->data(), preds));
-    auto topk = (*wb)->SignatureTopK(preds, f, 10);
+    EXPECT_EQ(sky->tids, NaiveSkyline((*wb)->data(), preds));
+    auto topk = RunSignature(**wb, QueryRequest::TopK(preds, f, 10));
     ASSERT_TRUE(topk.ok());
-    auto naive = NaiveTopK((*wb)->data(), preds, f, 10);
-    ASSERT_EQ(topk->results.size(), naive.size());
+    auto naive = NaiveTopK((*wb)->data(), preds, *f, 10);
+    ASSERT_EQ(topk->scores.size(), naive.size());
     for (size_t i = 0; i < naive.size(); ++i) {
-      EXPECT_NEAR(topk->results[i].key, naive[i].second, 1e-9);
+      EXPECT_NEAR(topk->scores[i], naive[i].second, 1e-9);
     }
   }
 }
@@ -105,9 +100,9 @@ TEST(GridPartitionTest, MaintenanceWorksOnGridTemplate) {
   auto applied = w.Apply(batch);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   PredicateSet preds{{0, 1}};
-  auto sky = w.SignatureSkyline(preds);
+  auto sky = RunSignature(w, QueryRequest::Skyline(preds));
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(SkylineTids(*sky), NaiveSkyline(w.data(), preds));
+  EXPECT_EQ(sky->tids, NaiveSkyline(w.data(), preds));
 }
 
 TEST(GridPartitionTest, DegenerateGrids) {

@@ -10,6 +10,7 @@
 
 #include "baselines/domination_first.h"
 #include "data/generators.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
@@ -55,10 +56,9 @@ class PaperCountersTest : public ::testing::Test {
   }
 
   /// Runs `request` on the signature plan from a cold pool.
-  static QueryResponse RunSignature(QueryRequest request) {
-    request.hint = PlanHint::kSignature;
+  static QueryResponse RunCold(const QueryRequest& request) {
     EXPECT_TRUE(wb_->ColdStart().ok());
-    auto resp = wb_->Run(request);
+    auto resp = RunSignature(*wb_, request);
     EXPECT_TRUE(resp.ok()) << resp.status().ToString();
     return resp.ok() ? std::move(*resp) : QueryResponse();
   }
@@ -77,20 +77,16 @@ TEST_F(PaperCountersTest, Fig9DiskAccesses) {
   EXPECT_EQ(dom_io.ReadCount(IoCategory::kRtreeBlock), 84u);      // DBlock
   EXPECT_EQ(dom_io.ReadCount(IoCategory::kBooleanVerify), 118u);  // DBool
 
-  ASSERT_TRUE(wb_->ColdStart().ok());
-  auto sig = wb_->SignatureSkyline(OnePredicate());
-  ASSERT_TRUE(sig.ok());
-  IoStats sig_io = wb_->IoSince();
-  EXPECT_EQ(sig_io.ReadCount(IoCategory::kRtreeBlock), 60u);  // SBlock
-  EXPECT_EQ(sig_io.ReadCount(IoCategory::kSignature), 1u);    // SSig
-  EXPECT_EQ(sig->skyline.size(), dom->skyline.size());
+  QueryResponse sig = RunCold(QueryRequest::Skyline(OnePredicate()));
+  EXPECT_EQ(sig.io.ReadCount(IoCategory::kRtreeBlock), 60u);  // SBlock
+  EXPECT_EQ(sig.io.ReadCount(IoCategory::kSignature), 1u);    // SSig
+  EXPECT_EQ(sig.io.TotalReads(), wb_->IoSince().TotalReads());
+  EXPECT_EQ(sig.tids.size(), dom->skyline.size());
 }
 
 TEST_F(PaperCountersTest, Fig10HeapPeak) {
-  ASSERT_TRUE(wb_->ColdStart().ok());
-  auto sig = wb_->SignatureSkyline(OnePredicate());
-  ASSERT_TRUE(sig.ok());
-  EXPECT_EQ(sig->counters.heap_peak, 94u);
+  QueryResponse sig = RunCold(QueryRequest::Skyline(OnePredicate()));
+  EXPECT_EQ(sig.counters.heap_peak, 94u);
 
   ASSERT_TRUE(wb_->ColdStart().ok());
   auto dom =
@@ -100,7 +96,7 @@ TEST_F(PaperCountersTest, Fig10HeapPeak) {
 }
 
 TEST_F(PaperCountersTest, SkylineCounters) {
-  QueryResponse resp = RunSignature(QueryRequest::Skyline(OnePredicate()));
+  QueryResponse resp = RunCold(QueryRequest::Skyline(OnePredicate()));
   ExpectCounts(resp.counters, {60, 1933, 4546, 94});
 }
 
@@ -108,7 +104,7 @@ TEST_F(PaperCountersTest, SkybandCounters) {
   SkylineQueryOptions options;
   options.skyband_k = 3;
   QueryResponse resp =
-      RunSignature(QueryRequest::Skyline(OnePredicate(), options));
+      RunCold(QueryRequest::Skyline(OnePredicate(), options));
   ExpectCounts(resp.counters, {66, 3345, 3771, 95});
 }
 
@@ -116,7 +112,7 @@ TEST_F(PaperCountersTest, TopKCounters) {
   auto ranking =
       std::make_shared<LinearRanking>(std::vector<double>{0.5, 0.3, 0.2});
   QueryResponse resp =
-      RunSignature(QueryRequest::TopK(OnePredicate(), ranking, 10));
+      RunCold(QueryRequest::TopK(OnePredicate(), ranking, 10));
   ExpectCounts(resp.counters, {18, 1798, 0, 67});
   EXPECT_EQ(resp.tids.size(), 10u);
 }

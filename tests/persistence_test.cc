@@ -5,27 +5,24 @@
 
 #include <cstdio>
 #include <functional>
+#include <memory>
 
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/catalog.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
 namespace {
 
-std::vector<TupleId> SkylineTids(const SkylineOutput& out) {
-  std::vector<TupleId> tids;
-  for (const SearchEntry& e : out.skyline) tids.push_back(e.id);
-  std::sort(tids.begin(), tids.end());
-  return tids;
-}
-
 class PersistenceTest : public ::testing::Test {
  protected:
   std::string path_ = testing::TempDir() + "/pcube_persist_test.db";
 
-  void TearDown() override {
+  void TearDown() override { RemoveFiles(); }
+
+  void RemoveFiles() {
     std::remove(path_.c_str());
     std::remove((path_ + ".wal").c_str());  // the WAL sidecar
     std::remove((path_ + ".chk").c_str());  // the checksum sidecar
@@ -67,8 +64,10 @@ class PersistenceTest : public ::testing::Test {
 };
 
 TEST_F(PersistenceTest, SaveOpenRoundTripsQueries) {
-  PredicateSet preds{{0, 2}};
-  LinearRanking f({0.3, 0.7});
+  const QueryRequest skyline = QueryRequest::Skyline({{0, 2}});
+  const QueryRequest topk = QueryRequest::TopK(
+      {{0, 2}}, std::make_shared<LinearRanking>(std::vector<double>{0.3, 0.7}),
+      15);
   std::vector<TupleId> skyline_before;
   std::vector<double> topk_before;
   {
@@ -76,12 +75,12 @@ TEST_F(PersistenceTest, SaveOpenRoundTripsQueries) {
     options.file_path = path_;
     auto wb = Workbench::Build(MakeData(71), options);
     ASSERT_TRUE(wb.ok()) << wb.status().ToString();
-    auto sky = (*wb)->SignatureSkyline(preds);
+    auto sky = RunSignature(**wb, skyline);
     ASSERT_TRUE(sky.ok());
-    skyline_before = SkylineTids(*sky);
-    auto topk = (*wb)->SignatureTopK(preds, f, 15);
-    ASSERT_TRUE(topk.ok());
-    for (const auto& e : topk->results) topk_before.push_back(e.key);
+    skyline_before = sky->tids;
+    auto top = RunSignature(**wb, topk);
+    ASSERT_TRUE(top.ok());
+    topk_before = top->scores;
     ASSERT_TRUE((*wb)->Save().ok());
   }  // workbench destroyed; only the file remains
 
@@ -95,15 +94,15 @@ TEST_F(PersistenceTest, SaveOpenRoundTripsQueries) {
     EXPECT_EQ((*wb)->data().PrefValue(t, 0), expect.PrefValue(t, 0));
   }
   // Queries give identical answers (and match naive).
-  auto sky = (*wb)->SignatureSkyline(preds);
+  auto sky = RunSignature(**wb, skyline);
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(SkylineTids(*sky), skyline_before);
-  EXPECT_EQ(SkylineTids(*sky), NaiveSkyline((*wb)->data(), preds));
-  auto topk = (*wb)->SignatureTopK(preds, f, 15);
-  ASSERT_TRUE(topk.ok());
-  ASSERT_EQ(topk->results.size(), topk_before.size());
+  EXPECT_EQ(sky->tids, skyline_before);
+  EXPECT_EQ(sky->tids, NaiveSkyline((*wb)->data(), skyline.preds));
+  auto top = RunSignature(**wb, topk);
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top->scores.size(), topk_before.size());
   for (size_t i = 0; i < topk_before.size(); ++i) {
-    EXPECT_DOUBLE_EQ(topk->results[i].key, topk_before[i]);
+    EXPECT_DOUBLE_EQ(top->scores[i], topk_before[i]);
   }
 }
 
@@ -158,9 +157,9 @@ TEST_F(PersistenceTest, ReopenedWorkbenchSupportsMaintenance) {
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   // Queries still match naive over the extended dataset.
   PredicateSet preds{{1, 1}};
-  auto sky = w.SignatureSkyline(preds);
+  auto sky = RunSignature(w, QueryRequest::Skyline(preds));
   ASSERT_TRUE(sky.ok());
-  EXPECT_EQ(SkylineTids(*sky), NaiveSkyline(w.data(), preds));
+  EXPECT_EQ(sky->tids, NaiveSkyline(w.data(), preds));
 }
 
 TEST_F(PersistenceTest, SaveRequiresFileBacking) {
@@ -204,6 +203,41 @@ TEST_F(PersistenceTest, OpenRejectsCatalogMissingAnIndex) {
   EXPECT_TRUE(wb.status().IsCorruption()) << wb.status().ToString();
   EXPECT_NE(wb.status().ToString().find("indices"), std::string::npos)
       << wb.status().ToString();
+}
+
+TEST_F(PersistenceTest, OpenReportsDamagedBTreeRoot) {
+  // Open walks each B+-tree from its root to a leaf to learn its height. A
+  // root page that fails its checksum must fail Open with Corruption.
+  using RootOf = PageId (*)(const CatalogData&);
+  const std::pair<const char*, RootOf> roots[] = {
+      {"boolean index", [](const CatalogData& c) { return c.indices[0].root; }},
+      {"signature directory",
+       [](const CatalogData& c) { return c.sig_index_root; }},
+  };
+  for (const auto& [name, root_of] : roots) {
+    SCOPED_TRACE(name);
+    RemoveFiles();
+    PageId root = kInvalidPageId;
+    SaveThenRewriteCatalog([&](CatalogData* c) { root = root_of(*c); });
+    ASSERT_NE(root, kInvalidPageId);
+    // Flip one byte of the root behind the checksum layer's back.
+    std::FILE* f = std::fopen(path_.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const long pos = static_cast<long>(root * kPageSize + 64);
+    unsigned char byte = 0;
+    ASSERT_EQ(std::fseek(f, pos, SEEK_SET), 0);
+    ASSERT_EQ(std::fread(&byte, 1, 1, f), 1u);
+    byte ^= 0xFF;
+    ASSERT_EQ(std::fseek(f, pos, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&byte, 1, 1, f), 1u);
+    ASSERT_EQ(std::fclose(f), 0);
+
+    auto wb = Workbench::Open(path_);
+    ASSERT_FALSE(wb.ok());
+    EXPECT_TRUE(wb.status().IsCorruption()) << wb.status().ToString();
+    EXPECT_NE(wb.status().ToString().find("checksum"), std::string::npos)
+        << wb.status().ToString();
+  }
 }
 
 TEST_F(PersistenceTest, OpenRejectsGarbageFile) {

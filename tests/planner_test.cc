@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
@@ -78,9 +79,9 @@ TEST(PlannerTest, ExecutedCostNeverCatastrophic) {
     PredicateSet preds{{0, c / 2}};
 
     ASSERT_TRUE(wb->ColdStart().ok());
-    auto sig = wb->SignatureSkyline(preds);
+    auto sig = RunSignature(*wb, QueryRequest::Skyline(preds));
     ASSERT_TRUE(sig.ok());
-    uint64_t sig_pages = wb->IoSince().TotalReads();
+    uint64_t sig_pages = sig->io.TotalReads();
 
     ASSERT_TRUE(wb->ColdStart().ok());
     BooleanFirstExecutor boolean(&wb->indices(), wb->table());

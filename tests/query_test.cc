@@ -3,22 +3,16 @@
 // predicate counts, preference-dimension subsets, ranking functions and k.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <memory>
 
 #include "common/random.h"
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
 namespace {
-
-std::vector<TupleId> SkylineTids(const SkylineOutput& out) {
-  std::vector<TupleId> tids;
-  for (const SearchEntry& e : out.skyline) tids.push_back(e.id);
-  std::sort(tids.begin(), tids.end());
-  return tids;
-}
 
 struct QueryCase {
   PrefDistribution dist;
@@ -60,10 +54,9 @@ TEST_P(QueryEngineTest, SkylineMatchesNaive) {
   Random rng(dist_int * 100 + num_preds);
   for (int trial = 0; trial < 4; ++trial) {
     PredicateSet preds = MakePreds(num_preds, &rng);
-    auto out = wb->SignatureSkyline(preds);
+    auto out = RunSignature(*wb, QueryRequest::Skyline(preds));
     ASSERT_TRUE(out.ok());
-    EXPECT_EQ(SkylineTids(*out), NaiveSkyline(wb->data(), preds))
-        << preds.ToString();
+    EXPECT_EQ(out->tids, NaiveSkyline(wb->data(), preds)) << preds.ToString();
   }
 }
 
@@ -72,16 +65,16 @@ TEST_P(QueryEngineTest, TopKMatchesNaive) {
   PrefDistribution dist = static_cast<PrefDistribution>(dist_int);
   auto wb = MakeWorkbench(dist, 950 + dist_int * 10 + num_preds);
   Random rng(dist_int * 200 + num_preds);
-  LinearRanking f({0.7, 0.3});
+  auto f = std::make_shared<LinearRanking>(std::vector<double>{0.7, 0.3});
   for (size_t k : {1u, 10u, 50u}) {
     PredicateSet preds = MakePreds(num_preds, &rng);
-    auto out = wb->SignatureTopK(preds, f, k);
+    auto out = RunSignature(*wb, QueryRequest::TopK(preds, f, k));
     ASSERT_TRUE(out.ok());
-    auto naive = NaiveTopK(wb->data(), preds, f, k);
-    ASSERT_EQ(out->results.size(), naive.size()) << preds.ToString();
+    auto naive = NaiveTopK(wb->data(), preds, *f, k);
+    ASSERT_EQ(out->scores.size(), naive.size()) << preds.ToString();
     for (size_t i = 0; i < naive.size(); ++i) {
       // Scores must agree exactly; ids may differ under score ties.
-      EXPECT_DOUBLE_EQ(out->results[i].key, naive[i].second) << "rank " << i;
+      EXPECT_DOUBLE_EQ(out->scores[i], naive[i].second) << "rank " << i;
     }
   }
 }
@@ -104,9 +97,11 @@ TEST(QueryEngineSingleTest, SkylineOnPrefDimSubset) {
   PredicateSet preds{{0, 1}};
   for (std::vector<int> dims :
        {std::vector<int>{0, 1}, std::vector<int>{1, 2}, std::vector<int>{2}}) {
-    auto out = (*wb)->SignatureSkyline(preds, dims);
+    SkylineQueryOptions options;
+    options.pref_dims = dims;
+    auto out = RunSignature(**wb, QueryRequest::Skyline(preds, options));
     ASSERT_TRUE(out.ok());
-    EXPECT_EQ(SkylineTids(*out), NaiveSkyline((*wb)->data(), preds, dims));
+    EXPECT_EQ(out->tids, NaiveSkyline((*wb)->data(), preds, dims));
   }
 }
 
@@ -122,14 +117,15 @@ TEST(QueryEngineSingleTest, WeightedL2TopKMatchesNaive) {
   auto wb = Workbench::Build(GenerateSynthetic(config), options);
   ASSERT_TRUE(wb.ok());
   // Example 1: distance to an expectation point.
-  WeightedL2Ranking f({0.4, 0.7}, {1.0, 2.5});
+  auto f = std::make_shared<WeightedL2Ranking>(std::vector<double>{0.4, 0.7},
+                                               std::vector<double>{1.0, 2.5});
   PredicateSet preds{{1, 2}};
-  auto out = (*wb)->SignatureTopK(preds, f, 20);
+  auto out = RunSignature(**wb, QueryRequest::TopK(preds, f, 20));
   ASSERT_TRUE(out.ok());
-  auto naive = NaiveTopK((*wb)->data(), preds, f, 20);
-  ASSERT_EQ(out->results.size(), naive.size());
+  auto naive = NaiveTopK((*wb)->data(), preds, *f, 20);
+  ASSERT_EQ(out->scores.size(), naive.size());
   for (size_t i = 0; i < naive.size(); ++i) {
-    EXPECT_NEAR(out->results[i].key, naive[i].second, 1e-9);
+    EXPECT_NEAR(out->scores[i], naive[i].second, 1e-9);
   }
 }
 
@@ -144,13 +140,14 @@ TEST(QueryEngineSingleTest, MinkowskiRankingMatchesNaive) {
   options.rtree.max_entries = 8;
   auto wb = Workbench::Build(GenerateSynthetic(config), options);
   ASSERT_TRUE(wb.ok());
-  MinkowskiRanking f({0.2, 0.8}, {1.0, 1.0}, 3.0);
-  auto out = (*wb)->SignatureTopK({{0, 1}}, f, 15);
+  auto f = std::make_shared<MinkowskiRanking>(
+      std::vector<double>{0.2, 0.8}, std::vector<double>{1.0, 1.0}, 3.0);
+  auto out = RunSignature(**wb, QueryRequest::TopK({{0, 1}}, f, 15));
   ASSERT_TRUE(out.ok());
-  auto naive = NaiveTopK((*wb)->data(), {{0, 1}}, f, 15);
-  ASSERT_EQ(out->results.size(), naive.size());
+  auto naive = NaiveTopK((*wb)->data(), {{0, 1}}, *f, 15);
+  ASSERT_EQ(out->scores.size(), naive.size());
   for (size_t i = 0; i < naive.size(); ++i) {
-    EXPECT_NEAR(out->results[i].key, naive[i].second, 1e-9);
+    EXPECT_NEAR(out->scores[i], naive[i].second, 1e-9);
   }
 }
 
@@ -172,9 +169,9 @@ TEST(QueryEngineSingleTest, EmptyCellReturnsNothingCheaply) {
   }
   while (present[missing]) ++missing;
   ASSERT_TRUE((*wb)->ColdStart().ok());
-  auto out = (*wb)->SignatureSkyline({{0, missing}});
+  auto out = RunSignature(**wb, QueryRequest::Skyline({{0, missing}}));
   ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out->skyline.empty());
+  EXPECT_TRUE(out->tids.empty());
   // The root's children were boolean-pruned without reading their pages:
   // only the root node itself is expanded.
   EXPECT_LE(out->counters.nodes_expanded, 1u);
@@ -192,15 +189,15 @@ TEST(QueryEngineSingleTest, CountersArePopulated) {
   auto wb = Workbench::Build(GenerateSynthetic(config), options);
   ASSERT_TRUE(wb.ok());
   ASSERT_TRUE((*wb)->ColdStart().ok());
-  auto out = (*wb)->SignatureSkyline({{0, 1}});
+  auto out = RunSignature(**wb, QueryRequest::Skyline({{0, 1}}));
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out->counters.heap_peak, 0u);
   EXPECT_GT(out->counters.nodes_expanded, 0u);
   EXPECT_GT(out->counters.pruned_boolean, 0u);
   // Disk accounting: node expansions show up as R-tree block reads.
-  IoStats io = (*wb)->IoSince();
-  EXPECT_EQ(io.ReadCount(IoCategory::kRtreeBlock), out->counters.nodes_expanded);
-  EXPECT_GT(io.ReadCount(IoCategory::kSignature), 0u);
+  EXPECT_EQ(out->io.ReadCount(IoCategory::kRtreeBlock),
+            out->counters.nodes_expanded);
+  EXPECT_GT(out->io.ReadCount(IoCategory::kSignature), 0u);
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 // stack, fire a mixed battery of queries (skyline, dynamic skyline, skyband,
 // top-k with several ranking functions, multi-predicate, dimension subsets)
 // against naive oracles, then mutate the data (insert + delete batches with
-// incremental maintenance) and verify everything again. Every engine run
-// is repeated without the pruned lists (PrunedLists::kDrop), which must
-// change neither the answer nor a counter.
+// incremental maintenance) and verify everything again. Each query runs
+// through Workbench::Run on the signature plan; the same query on a bare
+// engine that keeps its pruned lists (PrunedLists::kKeep) must report
+// Run's counters, and on one that drops them (kDrop) must change neither
+// the answer nor a counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include "common/random.h"
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
@@ -50,20 +53,41 @@ template <typename Output>
 void ExpectListParity(const Output& kept, const Output& dropped) {
   ExpectCountersEqual(kept.counters, dropped.counters);
   EXPECT_EQ(kept.b_list.size(), kept.counters.pruned_boolean);
-  EXPECT_EQ(kept.d_list.size(), kept.counters.pruned_preference);
   EXPECT_TRUE(dropped.b_list.empty());
-  EXPECT_TRUE(dropped.d_list.empty());
 }
 
 void ExpectListParity(const SkylineOutput& kept, const SkylineOutput& dropped) {
   ExpectSameEntries(kept.skyline, dropped.skyline);
   ExpectListParity<SkylineOutput>(kept, dropped);
+  EXPECT_EQ(kept.d_list.size(), kept.counters.pruned_preference);
+  EXPECT_TRUE(dropped.d_list.empty());
 }
 
 void ExpectListParity(const TopKOutput& kept, const TopKOutput& dropped) {
   ExpectSameEntries(kept.results, dropped.results);
   ExpectSameEntries(kept.remaining, dropped.remaining);
   ExpectListParity<TopKOutput>(kept, dropped);
+}
+
+// The query Run executes, on a bare engine over `w`'s tree and cube.
+Result<SkylineOutput> EngineSkyline(Workbench& w, const PredicateSet& preds,
+                                    const SkylineQueryOptions& options,
+                                    PrunedLists lists) {
+  auto probe = w.cube()->MakeProbe(preds);
+  if (!probe.ok()) return probe.status();
+  SkylineEngine engine(w.tree(), probe->get(), nullptr, options);
+  engine.set_pruned_lists(lists);
+  return engine.Run();
+}
+
+Result<TopKOutput> EngineTopK(Workbench& w, const PredicateSet& preds,
+                              const RankingFunction& f, size_t k,
+                              PrunedLists lists) {
+  auto probe = w.cube()->MakeProbe(preds);
+  if (!probe.ok()) return probe.status();
+  TopKEngine engine(w.tree(), probe->get(), nullptr, &f, k);
+  engine.set_pruned_lists(lists);
+  return engine.Run();
 }
 
 class StressTest : public ::testing::TestWithParam<int> {};
@@ -148,49 +172,33 @@ TEST_P(StressTest, RandomPipeline) {
     SCOPED_TRACE(phase);
     for (int q = 0; q < 6; ++q) {
       PredicateSet preds = random_preds();
-      // Plain skyline, then the same run without the pruned lists.
-      {
-        auto out = w.SignatureSkyline(preds);
-        ASSERT_TRUE(out.ok());
-        EXPECT_EQ(SkylineTids(*out), oracle_skyband(preds, {}, 1))
-            << preds.ToString();
-        auto probe = w.cube()->MakeProbe(preds);
-        ASSERT_TRUE(probe.ok());
-        SkylineEngine dropping(w.tree(), probe->get(), nullptr);
-        dropping.set_pruned_lists(PrunedLists::kDrop);
-        auto dropped = dropping.Run();
-        ASSERT_TRUE(dropped.ok());
-        ExpectListParity(*out, *dropped);
-      }
-      // Skyband / dynamic skyline via engine options.
-      {
+      // Plain skyline, then skyband / dynamic skyline.
+      for (bool plain : {true, false}) {
         SkylineQueryOptions sopt;
-        if (rng.Uniform(2) == 0) {
-          for (int d = 0; d < config.num_pref; ++d) {
-            sopt.origin.push_back(static_cast<float>(rng.NextDouble()));
+        if (!plain) {
+          if (rng.Uniform(2) == 0) {
+            for (int d = 0; d < config.num_pref; ++d) {
+              sopt.origin.push_back(static_cast<float>(rng.NextDouble()));
+            }
           }
+          sopt.skyband_k = 1 + rng.Uniform(3);
         }
-        sopt.skyband_k = 1 + rng.Uniform(3);
-        auto probe = w.cube()->MakeProbe(preds);
-        ASSERT_TRUE(probe.ok());
-        SkylineEngine engine(w.tree(), probe->get(), nullptr, sopt);
-        auto out = engine.Run();
-        ASSERT_TRUE(out.ok());
-        EXPECT_EQ(SkylineTids(*out),
+        auto resp = RunSignature(w, QueryRequest::Skyline(preds, sopt));
+        ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+        EXPECT_EQ(resp->tids,
                   oracle_skyband(preds, sopt.origin, sopt.skyband_k))
             << preds.ToString();
-        auto fresh_probe = w.cube()->MakeProbe(preds);
-        ASSERT_TRUE(fresh_probe.ok());
-        SkylineEngine dropping(w.tree(), fresh_probe->get(), nullptr, sopt);
-        dropping.set_pruned_lists(PrunedLists::kDrop);
-        auto dropped = dropping.Run();
-        ASSERT_TRUE(dropped.ok());
-        ExpectListParity(*out, *dropped);
+        auto kept = EngineSkyline(w, preds, sopt, PrunedLists::kKeep);
+        auto dropped = EngineSkyline(w, preds, sopt, PrunedLists::kDrop);
+        ASSERT_TRUE(kept.ok() && dropped.ok());
+        EXPECT_EQ(SkylineTids(*kept), resp->tids);
+        ExpectCountersEqual(resp->counters, kept->counters);
+        ExpectListParity(*kept, *dropped);
       }
       // Top-k with a random ranking function family.
       {
         size_t k = 1 + rng.Uniform(30);
-        std::unique_ptr<RankingFunction> f;
+        std::shared_ptr<const RankingFunction> f;
         std::vector<double> weights, target;
         for (int d = 0; d < config.num_pref; ++d) {
           weights.push_back(0.05 + rng.NextDouble());
@@ -198,29 +206,32 @@ TEST_P(StressTest, RandomPipeline) {
         }
         switch (rng.Uniform(3)) {
           case 0:
-            f = std::make_unique<LinearRanking>(weights);
+            f = std::make_shared<LinearRanking>(weights);
             break;
           case 1:
-            f = std::make_unique<WeightedL2Ranking>(target, weights);
+            f = std::make_shared<WeightedL2Ranking>(target, weights);
             break;
           default:
-            f = std::make_unique<MinkowskiRanking>(target, weights, 3.0);
+            f = std::make_shared<MinkowskiRanking>(target, weights, 3.0);
         }
-        auto out = w.SignatureTopK(preds, *f, k);
-        ASSERT_TRUE(out.ok());
+        auto resp = RunSignature(w, QueryRequest::TopK(preds, f, k));
+        ASSERT_TRUE(resp.ok()) << resp.status().ToString();
         auto naive = oracle_topk(preds, *f, k);
-        ASSERT_EQ(out->results.size(), naive.size()) << preds.ToString();
+        ASSERT_EQ(resp->scores.size(), naive.size()) << preds.ToString();
         for (size_t i = 0; i < naive.size(); ++i) {
-          EXPECT_NEAR(out->results[i].key, naive[i].first, 1e-6)
+          EXPECT_NEAR(resp->scores[i], naive[i].first, 1e-6)
               << preds.ToString() << " rank " << i;
         }
-        auto probe = w.cube()->MakeProbe(preds);
-        ASSERT_TRUE(probe.ok());
-        TopKEngine dropping(w.tree(), probe->get(), nullptr, f.get(), k);
-        dropping.set_pruned_lists(PrunedLists::kDrop);
-        auto dropped = dropping.Run();
-        ASSERT_TRUE(dropped.ok());
-        ExpectListParity(*out, *dropped);
+        auto kept = EngineTopK(w, preds, *f, k, PrunedLists::kKeep);
+        auto dropped = EngineTopK(w, preds, *f, k, PrunedLists::kDrop);
+        ASSERT_TRUE(kept.ok() && dropped.ok());
+        ASSERT_EQ(kept->results.size(), resp->tids.size());
+        for (size_t i = 0; i < resp->tids.size(); ++i) {
+          EXPECT_EQ(kept->results[i].id, resp->tids[i]) << "rank " << i;
+          EXPECT_EQ(kept->results[i].key, resp->scores[i]) << "rank " << i;
+        }
+        ExpectCountersEqual(resp->counters, kept->counters);
+        ExpectListParity(*kept, *dropped);
       }
     }
   };

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "data/generators.h"
 #include "query/reference.h"
+#include "run_signature.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
@@ -29,20 +31,17 @@ std::unique_ptr<Workbench> MakeWorkbench(uint64_t n, uint64_t seed) {
 TEST(WorkbenchTest, EndToEndSkylineAndTopK) {
   auto wb = MakeWorkbench(20000, 700);
   PredicateSet preds{{0, 42}};
-  auto sky = wb->SignatureSkyline(preds);
+  auto sky = RunSignature(*wb, QueryRequest::Skyline(preds));
   ASSERT_TRUE(sky.ok());
-  std::vector<TupleId> tids;
-  for (const auto& e : sky->skyline) tids.push_back(e.id);
-  std::sort(tids.begin(), tids.end());
-  EXPECT_EQ(tids, NaiveSkyline(wb->data(), preds));
+  EXPECT_EQ(sky->tids, NaiveSkyline(wb->data(), preds));
 
-  LinearRanking f({0.2, 0.5, 0.3});
-  auto topk = wb->SignatureTopK(preds, f, 10);
+  auto f = std::make_shared<LinearRanking>(std::vector<double>{0.2, 0.5, 0.3});
+  auto topk = RunSignature(*wb, QueryRequest::TopK(preds, f, 10));
   ASSERT_TRUE(topk.ok());
-  auto naive = NaiveTopK(wb->data(), preds, f, 10);
-  ASSERT_EQ(topk->results.size(), naive.size());
+  auto naive = NaiveTopK(wb->data(), preds, *f, 10);
+  ASSERT_EQ(topk->scores.size(), naive.size());
   for (size_t i = 0; i < naive.size(); ++i) {
-    EXPECT_NEAR(topk->results[i].key, naive[i].second, 1e-9);
+    EXPECT_NEAR(topk->scores[i], naive[i].second, 1e-9);
   }
 }
 
@@ -51,9 +50,9 @@ TEST(WorkbenchTest, SignatureLoadIsSmallFractionOfIo) {
   // at this much smaller scale).
   auto wb = MakeWorkbench(30000, 701);
   ASSERT_TRUE(wb->ColdStart().ok());
-  auto out = wb->SignatureSkyline({{1, 7}});
+  auto out = RunSignature(*wb, QueryRequest::Skyline({{1, 7}}));
   ASSERT_TRUE(out.ok());
-  IoStats io = wb->IoSince();
+  const IoStats& io = out->io;
   EXPECT_GT(io.ReadCount(IoCategory::kRtreeBlock), 0u);
   EXPECT_LT(io.ReadCount(IoCategory::kSignature),
             std::max<uint64_t>(1, io.ReadCount(IoCategory::kRtreeBlock)));
@@ -64,7 +63,7 @@ TEST(WorkbenchTest, SignatureBeatsDominationOnBlocksAndHeap) {
   PredicateSet preds{{0, 3}};
 
   ASSERT_TRUE(wb->ColdStart().ok());
-  auto sig = wb->SignatureSkyline(preds);
+  auto sig = RunSignature(*wb, QueryRequest::Skyline(preds));
   ASSERT_TRUE(sig.ok());
 
   ASSERT_TRUE(wb->ColdStart().ok());
@@ -94,7 +93,7 @@ TEST(WorkbenchTest, ColdStartResetsAccounting) {
   ASSERT_TRUE(wb->ColdStart().ok());
   IoStats none = wb->IoSince();
   EXPECT_EQ(none.TotalReads(), 0u);
-  ASSERT_TRUE(wb->SignatureSkyline({{0, 1}}).ok());
+  ASSERT_TRUE(RunSignature(*wb, QueryRequest::Skyline({{0, 1}})).ok());
   EXPECT_GT(wb->IoSince().TotalReads(), 0u);
   ASSERT_TRUE(wb->ColdStart().ok());
   EXPECT_EQ(wb->IoSince().TotalReads(), 0u);
