@@ -122,6 +122,8 @@ inline MeasuredRun RunSignatureSkyline(Workbench* wb, const PredicateSet& preds)
   Timer t;
   auto out = wb->Run(request);
   PCUBE_CHECK(out.ok()) << out.status().ToString();
+  // A degraded response is a boolean-first run, not a P-Cube number.
+  PCUBE_CHECK(!out->degraded) << out->degraded_reason;
   MeasuredRun run;
   run.seconds = t.ElapsedSeconds();
   run.sig_seconds = out->counters.sig_seconds;

@@ -40,7 +40,8 @@ void BM_TopK(benchmark::State& state, const char* method) {
     std::string m(method);
     if (m == "signature") {
       auto out = wb->Run(signature);
-      PCUBE_CHECK(out.ok());
+      PCUBE_CHECK(out.ok()) << out.status().ToString();
+      PCUBE_CHECK(!out->degraded) << out->degraded_reason;
       last.heap_peak = out->counters.heap_peak;
       last.result_size = out->tids.size();
     } else if (m == "ranking") {

@@ -123,7 +123,8 @@ void BM_SkylineQueryEndToEnd(benchmark::State& state) {
   request.hint = PlanHint::kSignature;  // bypasses the L1 result cache
   for (auto _ : state) {
     auto out = wb->Run(request);
-    PCUBE_CHECK(out.ok());
+    PCUBE_CHECK(out.ok()) << out.status().ToString();
+    PCUBE_CHECK(!out->degraded) << out->degraded_reason;
     benchmark::DoNotOptimize(out->tids.size());
   }
 }

@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   QueryRequest skyline = QueryRequest::Skyline(in_city);
   skyline.hint = PlanHint::kSignature;
   auto sky = w.Run(skyline);
-  PCUBE_CHECK(sky.ok());
+  PCUBE_CHECK(sky.ok()) << sky.status().ToString();
+  PCUBE_CHECK(!sky->degraded) << sky->degraded_reason;
   std::printf("skyline of city 7: %zu hotels on the price/distance frontier\n",
               sky->tids.size());
 

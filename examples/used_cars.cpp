@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
   PCUBE_CHECK_OK(w.ColdStart());
   Timer t;
   auto sig = w.Run(request);
-  PCUBE_CHECK(sig.ok());
+  PCUBE_CHECK(sig.ok()) << sig.status().ToString();
+  PCUBE_CHECK(!sig->degraded) << sig->degraded_reason;
   double sig_ms = t.ElapsedMillis();
   const IoStats& sig_io = sig->io;
 
