@@ -1,9 +1,5 @@
 #include "query/candidate_heap.h"
 
-#include <algorithm>
-
-#include "common/timer.h"
-
 namespace pcube {
 
 namespace {
@@ -15,38 +11,44 @@ struct KeyGreater {
 };
 }  // namespace
 
-Status CandidateHeap::ProbeQueued(BooleanProbe* probe, Trace* trace,
-                                  PrunedLists lists,
-                                  std::vector<SearchEntry>* b_list,
-                                  EngineCounters* counters) {
-  passed_.assign(batch_.size(), 1);
+void CandidateHeap::RecordProbe(double seconds, Trace* trace,
+                                EngineCounters* counters) {
+  counters->sig_seconds += seconds;
+  if (trace != nullptr) trace->Record("signature_probe", seconds);
+}
+
+Status CandidateHeap::PushSeeds(std::vector<SearchEntry> seeds,
+                                BooleanProbe* probe, Trace* trace,
+                                PrunedLists lists,
+                                std::vector<SearchEntry>* b_list,
+                                EngineCounters* counters) {
+  passed_.assign(seeds.size(), 1);
   bool probed = false;
   Timer t;
-  for (size_t i = 0; i < batch_.size(); ++i) {
-    const SearchEntry& e = batch_[i];
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    const SearchEntry& e = seeds[i];
     if (e.path.empty()) continue;  // the root: nothing to test
     probed = true;
     auto pass = e.is_data ? probe->TestData(e.path, e.id) : probe->Test(e.path);
     if (!pass.ok()) return pass.status();
     passed_[i] = *pass;
   }
-  if (probed) {
-    const double dt = t.ElapsedSeconds();
-    counters->sig_seconds += dt;
-    if (trace != nullptr) trace->Record("signature_probe", dt);
-  }
-  for (size_t i = 0; i < batch_.size(); ++i) {
+  if (probed) RecordProbe(t.ElapsedSeconds(), trace, counters);
+  for (size_t i = 0; i < seeds.size(); ++i) {
     if (!passed_[i]) {
       ++counters->pruned_boolean;
-      FilePruned(lists, b_list, std::move(batch_[i]));
+      FilePruned(lists, b_list, std::move(seeds[i]));
       continue;
     }
-    heap_.push_back(std::move(batch_[i]));
-    std::push_heap(heap_.begin(), heap_.end(), KeyGreater());
+    Push(std::move(seeds[i]));
   }
-  batch_.clear();
   counters->heap_peak = std::max<uint64_t>(counters->heap_peak, heap_.size());
   return Status::OK();
+}
+
+void CandidateHeap::Push(SearchEntry&& e) {
+  heap_.push_back(std::move(e));
+  std::push_heap(heap_.begin(), heap_.end(), KeyGreater());
 }
 
 SearchEntry CandidateHeap::Pop() {

@@ -54,18 +54,6 @@ bool SkylineEngine::Dominated(const RectF& rect) const {
          options_.skyband_k;
 }
 
-void SkylineEngine::Offer(SearchEntry&& e) {
-  // Preference (domination) pruning first, boolean pruning second — the
-  // order of the paper's prune() procedure, which determines which list a
-  // doubly-pruned entry lands in.
-  if (Dominated(e.rect)) {
-    ++out_.counters.pruned_preference;
-    FilePruned(lists_, &out_.d_list, std::move(e));
-    return;
-  }
-  heap_.Queue(std::move(e));
-}
-
 Result<SkylineOutput> SkylineEngine::Run() {
   SearchEntry root;
   root.key = -std::numeric_limits<double>::infinity();
@@ -80,14 +68,16 @@ Result<SkylineOutput> SkylineEngine::RunFrom(
   out_ = SkylineOutput();
   window_.Reset(dims_.size());
   heap_.Clear();
-  for (const SearchEntry& e : seed) {
-    SearchEntry copy = e;
-    copy.key = copy.path.empty() ? -std::numeric_limits<double>::infinity()
-                                 : EntryKey(copy.rect);
-    Offer(std::move(copy));
+  // The skyline is still empty, so no seed is dominated: the seeds take only
+  // the boolean half of prune().
+  std::vector<SearchEntry> seeds = seed;
+  for (SearchEntry& e : seeds) {
+    e.key = e.path.empty() ? -std::numeric_limits<double>::infinity()
+                           : EntryKey(e.rect);
   }
-  PCUBE_RETURN_NOT_OK(heap_.ProbeQueued(probe_, trace_, lists_, &out_.b_list,
-                                        &out_.counters));
+  PCUBE_RETURN_NOT_OK(heap_.PushSeeds(std::move(seeds), probe_, trace_,
+                                      lists_, &out_.b_list, &out_.counters));
+  auto key = [this](const RectF& rect, bool) { return EntryKey(rect); };
 
   while (!heap_.empty()) {
     if (deadline_ && std::chrono::steady_clock::now() > *deadline_) {
@@ -133,21 +123,27 @@ Result<SkylineOutput> SkylineEngine::RunFrom(
     if (!node_handle.ok()) return node_handle.status();
     ++out_.counters.nodes_expanded;
     NodeView node(node_handle->get(), tree_->dims());
+    // The paper's prune() (lines 14-20): domination first, the boolean probe
+    // second — the order decides which list a doubly-pruned child lands in.
+    // A child becomes an entry only once it survives both, or under kKeep
+    // to be filed into a list.
+    slots_.clear();
     for (uint32_t s = 0; s < node.max_entries(); ++s) {
       if (!node.Valid(s)) continue;
-      SearchEntry child;
-      child.is_data = node.is_leaf();
-      child.id = node.GetId(s);
-      child.rect = node.GetRect(s);
-      child.path = e.path;
-      child.path.push_back(static_cast<uint16_t>(s + 1));
-      child.key = EntryKey(child.rect);
-      Offer(std::move(child));
+      if (Dominated(node.GetRect(s))) {
+        ++out_.counters.pruned_preference;
+        if (lists_ == PrunedLists::kKeep) {
+          out_.d_list.push_back(ChildEntry(node, s, e.path, key));
+        }
+        continue;
+      }
+      slots_.push_back(s);
     }
-    // The children were all offered against the same skyline (it only
-    // grows on a pop), so probing them as one batch changes no verdict.
-    PCUBE_RETURN_NOT_OK(heap_.ProbeQueued(probe_, trace_, lists_,
-                                          &out_.b_list, &out_.counters));
+    // Every child was tested against the same skyline (it only grows on a
+    // pop), so probing the survivors as one batch changes no verdict.
+    PCUBE_RETURN_NOT_OK(heap_.PushChildren(node, e.path, slots_, key, probe_,
+                                           trace_, lists_, &out_.b_list,
+                                           &out_.counters));
   }
   return std::move(out_);
 }

@@ -67,10 +67,6 @@ class SkylineEngine {
   /// Writes the transformed coordinates of `rect` on the preference
   /// dimensions into cand_scratch_.
   void TransformInto(const RectF& rect) const;
-  /// First half of the paper's prune() (lines 14-20): files a dominated
-  /// entry into d_list, else queues it for the boolean probe (the second
-  /// half, CandidateHeap::ProbeQueued).
-  void Offer(SearchEntry&& e);
 
   const RStarTree* tree_;
   BooleanProbe* probe_;
@@ -87,6 +83,8 @@ class SkylineEngine {
   /// instead of re-deriving coordinates from each member's rect.
   DominanceWindow window_;
   mutable std::vector<double> cand_scratch_;
+  /// The non-dominated slots of the node being expanded.
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace pcube

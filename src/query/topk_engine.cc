@@ -23,24 +23,22 @@ Result<TopKOutput> TopKEngine::Run() {
 Result<TopKOutput> TopKEngine::RunFrom(const std::vector<SearchEntry>& seed) {
   out_ = TopKOutput();
   heap_.Clear();
-  auto span_of = [&](const RectF& r) {
-    return std::span<const float>(r.min.data(),
-                                  static_cast<size_t>(tree_->dims()));
+  // Data objects carry their exact score, nodes f's lower bound.
+  auto key = [this](const RectF& rect, bool is_data) {
+    return is_data ? f_->Score(std::span<const float>(
+                         rect.min.data(), static_cast<size_t>(tree_->dims())))
+                   : f_->LowerBound(rect);
   };
-  for (const SearchEntry& e : seed) {
-    SearchEntry copy = e;
-    if (!copy.path.empty() || copy.is_data) {
-      copy.key = copy.is_data ? f_->Score(span_of(copy.rect))
-                              : f_->LowerBound(copy.rect);
-    } else {
-      copy.key = -std::numeric_limits<double>::infinity();
-    }
-    heap_.Queue(std::move(copy));
+  std::vector<SearchEntry> seeds = seed;
+  for (SearchEntry& e : seeds) {
+    e.key = !e.path.empty() || e.is_data
+                ? key(e.rect, e.is_data)
+                : -std::numeric_limits<double>::infinity();
   }
   // The boolean probe is all of the paper's prune() a top-k search runs:
   // score pruning needs k results, and the search stops once it has them.
-  PCUBE_RETURN_NOT_OK(heap_.ProbeQueued(probe_, trace_, lists_, &out_.b_list,
-                                        &out_.counters));
+  PCUBE_RETURN_NOT_OK(heap_.PushSeeds(std::move(seeds), probe_, trace_,
+                                      lists_, &out_.b_list, &out_.counters));
 
   while (!heap_.empty()) {
     if (out_.results.size() >= k_) break;
@@ -76,20 +74,13 @@ Result<TopKOutput> TopKEngine::RunFrom(const std::vector<SearchEntry>& seed) {
     if (!node_handle.ok()) return node_handle.status();
     ++out_.counters.nodes_expanded;
     NodeView node(node_handle->get(), tree_->dims());
+    slots_.clear();
     for (uint32_t s = 0; s < node.max_entries(); ++s) {
-      if (!node.Valid(s)) continue;
-      SearchEntry child;
-      child.is_data = node.is_leaf();
-      child.id = node.GetId(s);
-      child.rect = node.GetRect(s);
-      child.path = e.path;
-      child.path.push_back(static_cast<uint16_t>(s + 1));
-      child.key = child.is_data ? f_->Score(span_of(child.rect))
-                                : f_->LowerBound(child.rect);
-      heap_.Queue(std::move(child));
+      if (node.Valid(s)) slots_.push_back(s);
     }
-    PCUBE_RETURN_NOT_OK(heap_.ProbeQueued(probe_, trace_, lists_,
-                                          &out_.b_list, &out_.counters));
+    PCUBE_RETURN_NOT_OK(heap_.PushChildren(node, e.path, slots_, key, probe_,
+                                           trace_, lists_, &out_.b_list,
+                                           &out_.counters));
   }
 
   // Preserve the unexamined frontier for incremental queries (Lemma 2), in

@@ -61,6 +61,8 @@ class TopKEngine {
   PrunedLists lists_ = PrunedLists::kKeep;
   TopKOutput out_;
   CandidateHeap heap_;
+  /// The valid slots of the node being expanded.
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace pcube
