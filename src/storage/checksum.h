@@ -43,10 +43,25 @@ namespace pcube {
 
 class Counter;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of `n` bytes,
-/// computed slicing-by-8 (eight bytes per step); the value is the byte-wise
-/// table CRC's. Known answer: Crc32("123456789", 9) == 0xCBF43926.
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of `n` bytes;
+/// the value is the byte-wise table CRC's. Known answer:
+/// Crc32("123456789", 9) == 0xCBF43926. On a CPU with PCLMULQDQ and
+/// SSE4.1 (checked once, on the first call) it runs Crc32Clmul, elsewhere
+/// Crc32Scalar.
 uint32_t Crc32(const void* data, size_t n);
+
+/// True when this CPU can run Crc32Clmul.
+bool CpuHasPclmul();
+
+/// The two kernels, for the oracle tests and the kernel bench.
+/// Crc32Scalar is slicing-by-8 (eight bytes per table step). Crc32Clmul
+/// folds 64-byte blocks by carry-less multiplication (PCLMULQDQ) and hands
+/// the last 0-15 bytes, or a buffer shorter than 64, to slicing-by-8; it
+/// requires CpuHasPclmul().
+uint32_t Crc32Scalar(const void* data, size_t n);
+#if defined(__x86_64__)
+uint32_t Crc32Clmul(const void* data, size_t n);
+#endif
 
 /// PageManager decorator verifying a per-page CRC-32 on every read.
 class ChecksumPageManager : public PageManager {

@@ -30,9 +30,9 @@ TEST(ChecksumTest, Crc32KnownAnswer) {
   EXPECT_EQ(Crc32("", 0), 0u);
 }
 
-// The byte-at-a-time table CRC, kept here as the oracle for the slicing
-// implementation: both must compute the same IEEE CRC-32, or every sidecar
-// written before the change would read as corrupt.
+// The byte-at-a-time table CRC, kept here as the oracle for both kernels:
+// they must compute the same IEEE CRC-32, or every sidecar written before
+// them would read as corrupt.
 uint32_t BytewiseCrc32(const uint8_t* p, size_t n) {
   uint32_t table[256];
   for (uint32_t i = 0; i < 256; ++i) {
@@ -45,30 +45,41 @@ uint32_t BytewiseCrc32(const uint8_t* p, size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-TEST(ChecksumTest, Crc32MatchesBytewiseOracle) {
+// Checks `crc` (Crc32 or one of its kernels) against the oracle. Every
+// length 0-512 at every start offset 0-15 covers each head/tail split of
+// slicing-by-8's eight-byte steps and, from 64 bytes on, of the PCLMULQDQ
+// kernel's 64-byte folds, its 16-byte folds and its slicing-by-8 tail.
+template <typename Crc>
+void ExpectMatchesOracle(const char* kernel, Crc crc) {
   Random rng(91);
-  std::vector<uint8_t> buf(kPageSize + 8);
+  std::vector<uint8_t> buf(kPageSize + 16);
   for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
-  // Every length 0-64 at every start offset 0-7 covers each head/tail split
-  // of the eight-byte steps.
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 64; ++len) {
-      EXPECT_EQ(Crc32(buf.data() + offset, len),
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 512; ++len) {
+      ASSERT_EQ(crc(buf.data() + offset, len),
                 BytewiseCrc32(buf.data() + offset, len))
-          << "offset " << offset << " length " << len;
+          << kernel << " at offset " << offset << " length " << len;
     }
   }
-  for (int trial = 0; trial < 8; ++trial) {
+  for (int trial = 0; trial < 16; ++trial) {
     for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
     const size_t offset = static_cast<size_t>(trial);
-    EXPECT_EQ(Crc32(buf.data() + offset, kPageSize),
+    EXPECT_EQ(crc(buf.data() + offset, kPageSize),
               BytewiseCrc32(buf.data() + offset, kPageSize))
-        << "page at offset " << offset;
+        << kernel << " page at offset " << offset;
   }
   Page zero;
   zero.Zero();
-  EXPECT_EQ(Crc32(zero.data(), kPageSize),
-            BytewiseCrc32(zero.data(), kPageSize));
+  EXPECT_EQ(crc(zero.data(), kPageSize), BytewiseCrc32(zero.data(), kPageSize))
+      << kernel << " zero page";
+}
+
+TEST(ChecksumTest, Crc32MatchesBytewiseOracle) {
+  ExpectMatchesOracle("Crc32", Crc32);
+  ExpectMatchesOracle("Crc32Scalar", Crc32Scalar);
+#if defined(__x86_64__)
+  if (CpuHasPclmul()) ExpectMatchesOracle("Crc32Clmul", Crc32Clmul);
+#endif
 }
 
 TEST(ChecksumTest, CatchesCorruptionBelowTheLayer) {
