@@ -17,6 +17,12 @@
 // program exits 1 on the first mismatch, which makes it the scripts/ci.sh
 // `cpu-path` smoke. Writes BENCH_cpu_path.json to the working directory.
 //
+// A second table gives each signature-path phase's mean nodes_expanded,
+// pruned_preference, pruned_boolean, heap_peak and physical page reads per
+// query. One thread runs a fixed request list, so these repeat exactly from
+// run to run: a change that must not move them (a refactor of the engine or
+// the storage path) shows it by an identical table.
+//
 // Environment knobs:
 //   PCUBE_CPU_PATH_ROWS  comma-separated row counts (default "20000,200000")
 #include <algorithm>
@@ -146,18 +152,39 @@ std::vector<TupleId> NaiveAnswer(const Dataset& data,
   return tids;
 }
 
+/// Mean per-query counts of one phase.
+struct Counts {
+  double nodes_expanded = 0;
+  double pruned_preference = 0;
+  double pruned_boolean = 0;
+  double heap_peak = 0;
+  double page_reads = 0;
+};
+
+/// One phase of the signature path: ms per query and its mean counts.
+struct Phase {
+  double ms = 0;
+  Counts counts;
+};
+
 /// Runs every request, timing only Run; `cold` calls ColdStart() first.
 /// Exits the program when an answer differs from `expected`.
-double MsPerQuery(Workbench* wb, const std::vector<QueryRequest>& requests,
-                  const std::vector<std::vector<TupleId>>& expected,
-                  bool cold, const char* label) {
+Phase RunPhase(Workbench* wb, const std::vector<QueryRequest>& requests,
+               const std::vector<std::vector<TupleId>>& expected, bool cold,
+               const char* label) {
   double seconds = 0;
+  Counts sum;
   for (size_t i = 0; i < requests.size(); ++i) {
     if (cold) PCUBE_CHECK_OK(wb->ColdStart());
     Timer t;
     auto resp = wb->Run(requests[i]);
     seconds += t.ElapsedSeconds();
     PCUBE_CHECK(resp.ok()) << resp.status().ToString();
+    sum.nodes_expanded += resp->counters.nodes_expanded;
+    sum.pruned_preference += resp->counters.pruned_preference;
+    sum.pruned_boolean += resp->counters.pruned_boolean;
+    sum.heap_peak += resp->counters.heap_peak;
+    sum.page_reads += resp->io.TotalReads();
     std::vector<TupleId> got = resp->tids;
     std::vector<TupleId> want = expected[i];
     if (requests[i].kind == QueryRequest::Kind::kTopK) {
@@ -173,16 +200,30 @@ double MsPerQuery(Workbench* wb, const std::vector<QueryRequest>& requests,
       std::exit(1);
     }
   }
-  return seconds * 1e3 / static_cast<double>(requests.size());
+  const double n = static_cast<double>(requests.size());
+  Phase phase;
+  phase.ms = seconds * 1e3 / n;
+  phase.counts = {sum.nodes_expanded / n, sum.pruned_preference / n,
+                  sum.pruned_boolean / n, sum.heap_peak / n,
+                  sum.page_reads / n};
+  return phase;
 }
 
 struct Row {
   uint64_t rows = 0;
-  double warm_ms = 0;
-  double cold_ms = 0;
+  Phase warm;
+  Phase cold;
   double scan_ms = 0;
-  double evict_ms = 0;
+  Phase evict;
 };
+
+void WriteCounts(std::ofstream& json, const char* name, const Counts& c) {
+  json << "\"" << name << "\": {\"nodes_expanded\": " << c.nodes_expanded
+       << ", \"pruned_preference\": " << c.pruned_preference
+       << ", \"pruned_boolean\": " << c.pruned_boolean
+       << ", \"heap_peak\": " << c.heap_peak
+       << ", \"page_reads\": " << c.page_reads << "}";
+}
 
 }  // namespace
 
@@ -201,9 +242,9 @@ int main() {
         expected.push_back(NaiveSkyline(wb->data(), q.preds));
       }
       row.scan_ms = scan.ElapsedSeconds() * 1e3 / queries.size();
-      row.cold_ms = MsPerQuery(wb.get(), queries, expected, true, "cold");
-      MsPerQuery(wb.get(), queries, expected, false, "warm-up");
-      row.warm_ms = MsPerQuery(wb.get(), queries, expected, false, "warm");
+      row.cold = RunPhase(wb.get(), queries, expected, true, "cold");
+      RunPhase(wb.get(), queries, expected, false, "warm-up");
+      row.warm = RunPhase(wb.get(), queries, expected, false, "warm");
     }
     {
       std::unique_ptr<Workbench> wb = BuildOrDie(config, kStreamPoolPages);
@@ -212,7 +253,7 @@ int main() {
       for (const QueryRequest& q : stream) {
         expected.push_back(NaiveAnswer(wb->data(), q));
       }
-      row.evict_ms = MsPerQuery(wb.get(), stream, expected, false, "evict");
+      row.evict = RunPhase(wb.get(), stream, expected, false, "evict");
     }
     table.push_back(row);
   }
@@ -221,21 +262,42 @@ int main() {
               "cold", "scan", "evict");
   for (const Row& r : table) {
     std::printf("%-8llu %10.3f %10.3f %10.3f %10.3f\n",
-                static_cast<unsigned long long>(r.rows), r.warm_ms, r.cold_ms,
-                r.scan_ms, r.evict_ms);
+                static_cast<unsigned long long>(r.rows), r.warm.ms, r.cold.ms,
+                r.scan_ms, r.evict.ms);
+  }
+  std::printf("\n%-8s %-6s %14s %17s %14s %10s %10s   (mean per query)\n",
+              "rows", "phase", "nodes_expanded", "pruned_preference",
+              "pruned_boolean", "heap_peak", "page_reads");
+  for (const Row& r : table) {
+    for (const auto& [name, phase] :
+         {std::pair<const char*, const Phase*>{"warm", &r.warm},
+          {"cold", &r.cold},
+          {"evict", &r.evict}}) {
+      const Counts& c = phase->counts;
+      std::printf("%-8llu %-6s %14.3f %17.3f %14.3f %10.3f %10.3f\n",
+                  static_cast<unsigned long long>(r.rows), name,
+                  c.nodes_expanded, c.pruned_preference, c.pruned_boolean,
+                  c.heap_peak, c.page_reads);
+    }
   }
 
   std::ofstream json("BENCH_cpu_path.json");
+  json.precision(10);  // the mean counts exactly
   json << "{\n  \"workload\": {\"queries\": " << kQueries
        << ", \"stream_requests\": " << kStreamRequests
        << ", \"stream_pool_pages\": " << kStreamPoolPages
        << ", \"unit\": \"ms_per_query\"},\n  \"rows\": [\n";
   for (size_t i = 0; i < table.size(); ++i) {
     const Row& r = table[i];
-    json << "    {\"rows\": " << r.rows << ", \"warm\": " << r.warm_ms
-         << ", \"cold\": " << r.cold_ms << ", \"scan\": " << r.scan_ms
-         << ", \"evict\": " << r.evict_ms << "}"
-         << (i + 1 < table.size() ? "," : "") << "\n";
+    json << "    {\"rows\": " << r.rows << ", \"warm\": " << r.warm.ms
+         << ", \"cold\": " << r.cold.ms << ", \"scan\": " << r.scan_ms
+         << ", \"evict\": " << r.evict.ms << ",\n     \"counts\": {";
+    WriteCounts(json, "warm", r.warm.counts);
+    json << ", ";
+    WriteCounts(json, "cold", r.cold.counts);
+    json << ", ";
+    WriteCounts(json, "evict", r.evict.counts);
+    json << "}}" << (i + 1 < table.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   return 0;

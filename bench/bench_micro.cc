@@ -4,11 +4,14 @@
 // constants behind the figure-level results (e.g. why Csig << CR-tree).
 //
 // Smoke mode: PCUBE_SIMD_SMOKE=1 skips the google-benchmark harness and
-// instead times the two dominance kernels directly (best-of-N so the
-// measurement survives a noisy single-core CI box), writes BENCH_simd.json
-// to the working directory, and — on a CPU with AVX2 — exits non-zero
-// unless the AVX2 kernel beats the scalar one by >= 1.5x. Without AVX2 the
-// smoke only reports. scripts/ci.sh runs this as the `simd` phase.
+// instead times the two dominance kernels and the two page-CRC kernels
+// directly (best-of-N so the measurement survives a noisy single-core CI
+// box), writes BENCH_simd.json to the working directory, and exits non-zero
+// when, on a CPU with AVX2, the AVX2 dominance kernel beats the scalar one
+// by less than 1.5x, or, on a CPU with PCLMULQDQ, the carry-less-multiply
+// CRC beats slicing-by-8 on a 4 KiB page by less than 4x. A CPU without
+// the instructions only reports. scripts/ci.sh runs this as the `simd`
+// phase.
 #include "bench_common.h"
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 #include "bitmap/codec.h"
 #include "core/signature_cursor.h"
 #include "query/dominance_kernels.h"
+#include "storage/checksum.h"
 
 namespace pcube::bench {
 namespace {
@@ -212,9 +216,28 @@ int RunSimdSmoke() {
 #endif
   double dom_speedup = dom_scalar / dom_vec;
 
-  std::printf("simd smoke: cpu_avx2=%d\n", have_avx2 ? 1 : 0);
+  std::vector<uint8_t> page(kPageSize);
+  for (uint8_t& b : page) b = static_cast<uint8_t>(rng.Uniform(256));
+  double crc_scalar = BestSecondsPerCall(kReps, kIters, [&] {
+    benchmark::DoNotOptimize(Crc32Scalar(page.data(), page.size()));
+  });
+  double crc_clmul = crc_scalar;
+  const bool have_pclmul = CpuHasPclmul();
+#if defined(__x86_64__)
+  if (have_pclmul) {
+    crc_clmul = BestSecondsPerCall(kReps, kIters, [&] {
+      benchmark::DoNotOptimize(Crc32Clmul(page.data(), page.size()));
+    });
+  }
+#endif
+  double crc_speedup = crc_scalar / crc_clmul;
+
+  std::printf("simd smoke: cpu_avx2=%d cpu_pclmul=%d\n", have_avx2 ? 1 : 0,
+              have_pclmul ? 1 : 0);
   std::printf("  dominance   scalar %8.1f ns  vector %8.1f ns  %.2fx\n",
               dom_scalar * 1e9, dom_vec * 1e9, dom_speedup);
+  std::printf("  page crc    scalar %8.1f ns  clmul  %8.1f ns  %.2fx\n",
+              crc_scalar * 1e9, crc_clmul * 1e9, crc_speedup);
 
   {
     std::ofstream json("BENCH_simd.json");
@@ -223,16 +246,26 @@ int RunSimdSmoke() {
          << "  \"dominance_members\": " << kMembers << ",\n"
          << "  \"dominance_scalar_ns\": " << dom_scalar * 1e9 << ",\n"
          << "  \"dominance_vector_ns\": " << dom_vec * 1e9 << ",\n"
-         << "  \"dominance_speedup\": " << dom_speedup << "\n"
+         << "  \"dominance_speedup\": " << dom_speedup << ",\n"
+         << "  \"cpu_pclmul\": " << (have_pclmul ? "true" : "false") << ",\n"
+         << "  \"crc_bytes\": " << page.size() << ",\n"
+         << "  \"crc_scalar_ns\": " << crc_scalar * 1e9 << ",\n"
+         << "  \"crc_clmul_ns\": " << crc_clmul * 1e9 << ",\n"
+         << "  \"crc_speedup\": " << crc_speedup << "\n"
          << "}\n";
   }
 
-  // Gate only where the engine runs the AVX2 kernel: a CPU without AVX2
-  // reports but cannot regress.
+  // Gate only where the engine runs the fast kernel: a CPU without the
+  // instructions reports but cannot regress.
   if (have_avx2 && dom_speedup < 1.5) {
     std::fprintf(stderr,
                  "simd smoke: batched dominance speedup %.2fx < 1.5x\n",
                  dom_speedup);
+    return 1;
+  }
+  if (have_pclmul && crc_speedup < 4.0) {
+    std::fprintf(stderr, "simd smoke: page crc speedup %.2fx < 4x\n",
+                 crc_speedup);
     return 1;
   }
   std::printf("simd smoke: ok\n");

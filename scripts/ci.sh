@@ -43,12 +43,17 @@
 #                bench_ingest smoke (sustained ingest concurrent with
 #                queries; non-zero exit when commits fail, rows go missing
 #                or group commit never coalesces); emits BENCH_ingest.json.
-#   simd       — bench_micro dominance-kernel smoke (PCUBE_SIMD_SMOKE=1):
-#                emits BENCH_simd.json and, on a CPU with AVX2, fails when
-#                the AVX2 kernel is below 1.5x the scalar loop.
-#                Report-only on CPUs without AVX2.
+#   simd       — bench_micro kernel smoke (PCUBE_SIMD_SMOKE=1): emits
+#                BENCH_simd.json and fails when, on a CPU with AVX2, the
+#                AVX2 dominance kernel is below 1.5x the scalar loop, or, on
+#                a CPU with PCLMULQDQ, the carry-less-multiply page CRC is
+#                below 4x slicing-by-8 on a 4 KiB page. Report-only for a
+#                kernel whose instructions the CPU lacks.
 #   cpu-path   — bench_cpu_path smoke at 20k rows: warm / cold / scan /
-#                evict-stream ms per query of the signature path; fails
+#                evict-stream ms per query of the signature path, and each
+#                phase's mean nodes expanded, pruned counts, heap peak and
+#                page reads (exact from run to run, so a diff of two runs'
+#                count tables shows whether a change moved one); fails
 #                only when an answer differs from the naive scan; emits
 #                BENCH_cpu_path.json.
 #
@@ -464,10 +469,12 @@ if want simd; then
   SIMD_DIR=build/simd-smoke
   mkdir -p "$SIMD_DIR"
   # bench_micro's smoke mode exits non-zero itself when the CPU has AVX2
-  # but the AVX2 dominance kernel misses the 1.5x bar.
+  # but the AVX2 dominance kernel misses the 1.5x bar, or has PCLMULQDQ but
+  # the folding page CRC misses the 4x bar.
   (cd "$SIMD_DIR" && PCUBE_SIMD_SMOKE=1 ../bench/bench_micro)
   for field in cpu_avx2 dominance_scalar_ns dominance_vector_ns \
-               dominance_speedup; do
+               dominance_speedup cpu_pclmul crc_scalar_ns crc_clmul_ns \
+               crc_speedup; do
     if ! grep -q "\"$field\"" "$SIMD_DIR/BENCH_simd.json"; then
       echo "ci.sh: BENCH_simd.json is missing $field" >&2
       exit 1
